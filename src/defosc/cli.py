@@ -8,7 +8,8 @@ spectrum    energy table (n, E(n)) plus ground-state closed forms
 verify      residuals of the defining algebra identities (JSON report)
 degeneracy  solved parameter values q* with E(n) = E(m) in a q interval
 
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
+Exit codes: 0 success, 1 verification failure, 2 usage or domain error
+(including a value that leaves the double-precision range).
 Output is deterministic: floats are printed with 17 significant digits, CSV
 uses LF endings, JSON keys keep a fixed order.
 """
@@ -18,13 +19,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .dsf import DeformationParams, FamilyId, phi_closed
 from .errors import DomainError
 from .families import coefficients, verify_ratio_recursions
 from .fock import build_rep, verify_gh_relation, verify_heisenberg, verify_ladder
-from .spectra import energy, find_degeneracy, ground_state_table
+from .spectra import find_degeneracy, ground_state_table, spectrum
 from .symmetry import hermiticity_defect
 
 FIG1_Q = 1.015
@@ -32,43 +32,25 @@ FIG1_N_MAX = 100
 FIG1_FAMILIES = ("A", "B", "C")
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    family: str | None = None
-    q: float | None = None
-    p: float | None = None
-    n_max: int = 100
-    dim: int = 30
-    tol: float = 1e-10
-    output_format: str = "csv"
-    output_path: str | None = None
-    fig1: bool = False
-    perturb: float = 0.0
-    n: int | None = None
-    m: int | None = None
-    q_range: tuple[float, float] | None = None
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _params(config: RunConfig) -> DeformationParams:
-    if config.q is None:
+def _params(args: argparse.Namespace) -> DeformationParams:
+    if args.q is None:
         raise DomainError("--q is required for this command")
-    return DeformationParams(q=config.q, p=config.p)
+    return DeformationParams(q=args.q, p=args.p)
 
 
-def _family(config: RunConfig) -> FamilyId:
-    if config.family is None:
+def _family(args: argparse.Namespace) -> FamilyId:
+    if args.family is None:
         raise DomainError("--family is required for this command")
-    return FamilyId.parse(config.family)
+    return FamilyId.parse(args.family)
 
 
-def _write(config: RunConfig, text: str) -> None:
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8", newline="\n") as handle:
+def _write(args: argparse.Namespace, text: str) -> None:
+    if args.output_path:
+        with open(args.output_path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -85,99 +67,99 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
-def _meta(family: FamilyId | None, config: RunConfig, **extra) -> dict:
+def _meta(family: FamilyId | None, args: argparse.Namespace, **extra) -> dict:
     meta = {
         "family": family.tag.value if family else None,
-        "q": config.q,
-        "p": config.p,
+        "q": args.q,
+        "p": args.p,
     }
     meta.update(extra)
     return meta
 
 
-def _table_output(config: RunConfig, family: FamilyId | None, header: list[str],
+def _table_output(args: argparse.Namespace, family: FamilyId | None, header: list[str],
                   rows: list[list], **meta_extra) -> None:
-    if config.output_format == "json":
+    if args.output_format == "json":
         payload = {
-            "meta": _meta(family, config, **meta_extra),
+            "meta": _meta(family, args, **meta_extra),
             "columns": header,
             "rows": [[row[0]] + [float(cell) for cell in row[1:]] for row in rows],
         }
-        _write(config, _json_text(payload))
+        _write(args, _json_text(payload))
     else:
-        _write(config, _csv(header, rows))
+        _write(args, _csv(header, rows))
 
 
-def cmd_dsf(config: RunConfig) -> int:
-    if config.fig1:
+def cmd_dsf(args: argparse.Namespace) -> int:
+    if args.fig1:
         params = DeformationParams(q=FIG1_Q)
         rows = [
             [n] + [phi_closed(fam, params, n) for fam in FIG1_FAMILIES]
             for n in range(FIG1_N_MAX + 1)
         ]
-        _table_output(config, None, ["n", "SF1", "SF2", "SF3"], rows,
+        _table_output(args, None, ["n", "SF1", "SF2", "SF3"], rows,
                       q=FIG1_Q, n_max=FIG1_N_MAX)
         return 0
-    family = _family(config)
-    params = _params(config)
-    rows = [[n, phi_closed(family, params, n)] for n in range(config.n_max + 1)]
-    _table_output(config, family, ["n", "phi"], rows, n_max=config.n_max)
+    family = _family(args)
+    params = _params(args)
+    rows = [[n, phi_closed(family, params, n)] for n in range(args.n_max + 1)]
+    _table_output(args, family, ["n", "phi"], rows, n_max=args.n_max)
     return 0
 
 
-def cmd_spectrum(config: RunConfig) -> int:
-    family = _family(config)
-    params = _params(config)
-    rows = [[n, energy(family, params, n)] for n in range(config.n_max + 1)]
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    family = _family(args)
+    params = _params(args)
+    rows = spectrum(family, params, args.n_max).energies
     ground = None
     if not params.two_parameter:
         e1, e2, e3, e4 = ground_state_table(params)
         ground = {"E1": e1, "E2": e2, "E3": e3, "E4": e4}
-    if config.output_format == "json":
+    if args.output_format == "json":
         payload = {
-            "meta": _meta(family, config, n_max=config.n_max),
+            "meta": _meta(family, args, n_max=args.n_max),
             "columns": ["n", "E"],
             "rows": [[n, float(e)] for n, e in rows],
         }
         if ground is not None:
             payload["ground_state"] = ground
-        _write(config, _json_text(payload))
+        _write(args, _json_text(payload))
     else:
-        _write(config, _csv(["n", "E"], rows))
+        _write(args, _csv(["n", "E"], rows))
         if ground is not None:
             note = ", ".join(f"{k}(0) = {_fmt(v)}" for k, v in ground.items())
             print(f"ground-state closed forms: {note}", file=sys.stderr)
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
-    family = _family(config)
-    params = _params(config)
+def cmd_verify(args: argparse.Namespace) -> int:
+    family = _family(args)
+    params = _params(args)
     phi = None
-    if config.perturb:
-        eps = config.perturb
+    if args.perturb:
+        eps = args.perturb
 
         def phi(n, _f=family, _p=params, _e=eps):  # noqa: E731
             return phi_closed(_f, _p, n) * (1.0 + _e) if n else 0.0
 
-    rep = build_rep(family, params, config.dim, phi=phi)
+    rep = build_rep(family, params, args.dim, phi=phi)
     checks = [
-        verify_heisenberg(rep, config.tol),
-        verify_gh_relation(rep, tol=config.tol),
-        verify_ladder(rep, config.tol),
+        verify_heisenberg(rep, args.tol),
+        verify_gh_relation(rep, tol=args.tol),
+        verify_ladder(rep, args.tol),
     ]
-    recursion = verify_ratio_recursions(coefficients(family, params), params, config.dim)
+    recursion = verify_ratio_recursions(coefficients(family, params), params, args.dim)
     residuals = {check.name: check.residual for check in checks}
     residuals["ratio_recursions"] = recursion
-    passed = all(value <= config.tol for value in residuals.values())
+    passed = all(value <= args.tol for value in residuals.values())
     report = {
         "meta": {
             "family": family.tag.value,
-            "q": config.q,
-            "p": config.p,
-            "dim": config.dim,
+            "q": args.q,
+            "p": args.p,
+            "dim": args.dim,
             "trusted": rep.trusted,
-            "tol": config.tol,
+            "tol": args.tol,
         },
         "residuals": residuals,
         "boundary": {check.name: check.boundary for check in checks},
@@ -187,25 +169,25 @@ def cmd_verify(config: RunConfig) -> int:
         },
         "passed": passed,
     }
-    _write(config, _json_text(report))
+    _write(args, _json_text(report))
     if passed:
         return 0
-    failing = sorted(name for name, value in residuals.items() if value > config.tol)
+    failing = sorted(name for name, value in residuals.items() if value > args.tol)
     print(f"verification failed: {', '.join(failing)}", file=sys.stderr)
     return 1
 
 
-def cmd_degeneracy(config: RunConfig) -> int:
-    family = _family(config)
-    if config.n is None or config.m is None:
+def cmd_degeneracy(args: argparse.Namespace) -> int:
+    family = _family(args)
+    if args.n is None or args.m is None:
         raise DomainError("--n and --m are required for degeneracy searches")
-    if config.q_range is None:
+    if args.q_range is None:
         raise DomainError("--q-range lo:hi is required for degeneracy searches")
-    roots = find_degeneracy(family, config.n, config.m, config.q_range, config.tol)
-    if config.output_format == "json":
+    roots = find_degeneracy(family, args.n, args.m, args.q_range, args.tol)
+    if args.output_format == "json":
         payload = {
-            "meta": _meta(family, config, n=config.n, m=config.m,
-                          q_range=list(config.q_range), tol=config.tol),
+            "meta": _meta(family, args, n=args.n, m=args.m,
+                          q_range=list(args.q_range), tol=args.tol),
             "roots": [
                 {
                     "n": root.n,
@@ -217,12 +199,12 @@ def cmd_degeneracy(config: RunConfig) -> int:
                 for root in roots
             ],
         }
-        _write(config, _json_text(payload))
+        _write(args, _json_text(payload))
     else:
         rows = [[root.n, root.m, root.q_star, root.residual, root.bracket[0], root.bracket[1]]
                 for root in roots]
         rows = [[str(r[0]), str(r[1])] + r[2:] for r in rows]
-        _write(config, _csv(["n", "m", "q_star", "residual", "q_lo", "q_hi"], rows))
+        _write(args, _csv(["n", "m", "q_star", "residual", "q_lo", "q_hi"], rows))
     return 0
 
 
@@ -281,24 +263,8 @@ _DISPATCH = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(
-        subcommand=args.subcommand,
-        family=args.family,
-        q=args.q,
-        p=args.p,
-        n_max=args.n_max,
-        dim=args.dim,
-        tol=args.tol,
-        output_format=args.output_format,
-        output_path=args.output_path,
-        fig1=getattr(args, "fig1", False),
-        perturb=getattr(args, "perturb", 0.0),
-        n=getattr(args, "n", None),
-        m=getattr(args, "m", None),
-        q_range=getattr(args, "q_range", None),
-    )
     try:
-        return _DISPATCH[config.subcommand](config)
+        return _DISPATCH[args.subcommand](args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

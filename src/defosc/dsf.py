@@ -37,9 +37,6 @@ __all__ = [
     "phi_ratio_check",
 ]
 
-#: Recipe levels beyond this need log-space products; refuse rather than overflow.
-DEFAULT_RECIPE_CAP = 200
-
 #: |1 + x**(2n-2)| or |1 + x**(2n)| below this counts as a pole (unit circle).
 POLE_TOLERANCE = 1e-8
 
@@ -144,8 +141,8 @@ class DeformationParams:
                 if value.imag != 0:
                     raise DomainError(f"{context} requires real {name}, got {value!r}")
                 value = value.real
-            if not value > 0:
-                raise DomainError(f"{context} requires {name} > 0, got {value!r}")
+            if not 0 < value < float("inf"):
+                raise DomainError(f"{context} requires finite {name} > 0, got {value!r}")
 
 
 def _as_params(params: DeformationParams | float) -> DeformationParams:
@@ -164,11 +161,11 @@ def _check_family_params(family: FamilyId, params: DeformationParams, context: s
     params.require_real_positive(context)
 
 
-def _check_level(n: int) -> int:
+def _check_level(n: int, name: str = "level") -> int:
     if isinstance(n, bool) or not isinstance(n, Integral):
-        raise DomainError(f"level must be an integer, got {n!r}")
+        raise DomainError(f"{name} must be an integer, got {n!r}")
     if n < 0:
-        raise DomainError(f"level must be >= 0, got {n}")
+        raise DomainError(f"{name} must be >= 0, got {n}")
     return int(n)
 
 
@@ -215,27 +212,40 @@ def bracket_sym(x: int, q: float | complex) -> float | complex:
 # closed-form structure functions
 # ---------------------------------------------------------------------------
 
-# per-family numerator power a*n + b multiplying 2 [n]_x (1 + x**(1-n))
-_NUMERATOR_POWER = {1: (-1, 0), 2: (5, -3), 3: (2, -3), 4: (2, 0)}
+# The one per-family table: (e_f, e_k) per base letter, with
+# f(n) = x**(e_f n)/sqrt(2) and k(n) = x**(e_k n)/sqrt(2) at base x = q or Q.
+# g, h, G, H, the closed-form phi and the ratio exponents all derive from it.
+_EXPONENTS = {"A": (1, 1), "B": (-2, -2), "C": (-2, 1), "D": (1, -2)}
 
 
-def _phi_power_base(index: int, x: float | complex, n: int) -> float | complex:
-    """Closed-form one-parameter structure function number `index` at base x.
+def _phi_power_base(
+    letter: str, x: float | complex, n: int, p: float | complex = 1.0
+) -> float | complex:
+    """Closed-form structure function of base `letter` at base x, divided by p.
 
-    Supports complex x (used by the symmetrized forms); raises PoleError when
-    a denominator 1 + x**(2n-2) or 1 + x**(2n) vanishes on the unit circle.
+    phi(n) = 2 x**(a n + b) [n]_x (1 + x**(1-n)) / ((1 + x**(2n-2)) (1 + x**(2n)) p)
+    with (a, b) = (1 - e_f - e_k, e_f - 1).  Supports complex x (used by the
+    symmetrized forms); raises PoleError when a denominator vanishes on the
+    unit circle and DomainError when phi(n) leaves the double-precision range.
     """
     if n == 0:
         return 0j if isinstance(x, complex) else 0.0
     if x == 1:
-        return float(n)
-    d1 = 1.0 + x ** (2 * n - 2)
-    d2 = 1.0 + x ** (2 * n)
-    if isinstance(x, complex) and min(abs(d1), abs(d2)) < POLE_TOLERANCE:
-        raise PoleError(n, cmath.phase(x))
-    a, b = _NUMERATOR_POWER[index]
-    qbr = (1.0 - x**n) / (1.0 - x)
-    return 2.0 * x ** (a * n + b) * qbr * (1.0 + x ** (1 - n)) / (d1 * d2)
+        return n / p
+    ef, ek = _EXPONENTS[letter]
+    a, b = 1 - ef - ek, ef - 1
+    try:
+        d1 = 1.0 + x ** (2 * n - 2)
+        d2 = 1.0 + x ** (2 * n)
+        if isinstance(x, complex) and min(abs(d1), abs(d2)) < POLE_TOLERANCE:
+            raise PoleError(n, cmath.phase(x))
+        qbr = (1.0 - x**n) / (1.0 - x)
+        value = 2.0 * x ** (a * n + b) * qbr * (1.0 + x ** (1 - n)) / (d1 * d2) / p
+    except OverflowError:
+        value = float("inf")
+    if not cmath.isfinite(value):
+        raise DomainError(f"phi({n}) leaves the double-precision range at base {x!r}")
+    return value
 
 
 def phi_closed(family: FamilyId | str, params: DeformationParams | float, n: int) -> float:
@@ -243,6 +253,7 @@ def phi_closed(family: FamilyId | str, params: DeformationParams | float, n: int
 
     One-parameter families evaluate at base q; two-parameter families at
     Q = q/p with an overall 1/p prefactor.  phi(0) = 0 for every family.
+    Raises DomainError naming n when phi(n) leaves the double-precision range.
     """
     family = FamilyId.parse(family)
     params = _as_params(params)
@@ -253,52 +264,31 @@ def phi_closed(family: FamilyId | str, params: DeformationParams | float, n: int
             "phi_closed covers the printed families (c0 = d0 = 1); reconstruct "
             "general solutions with phi_from_gh"
         )
-    value = _phi_power_base(family.index, params.power_base, n)
-    if family.two_parameter:
-        value /= params.p
-    return value
+    return _phi_power_base(family.tag.letter, params.power_base, n, params.p or 1.0)
 
 
-def phi_from_gh(
-    G: Callable[[int], float],
-    H: Callable[[int], float],
-    n: int,
-    *,
-    n_cap: int = DEFAULT_RECIPE_CAP,
-) -> float:
+def phi_from_gh(G: Callable[[int], float], H: Callable[[int], float], n: int) -> float:
     """Reconstruct phi(n) from the operator functions G and H.
 
-    Evaluates
+    Solves the defining relation H(k) phi(k+1) - G(k) phi(k) = 1 level by
+    level from phi(0) = 0:
 
-        phi(n) = (G(n-1)!/H(n-1)!) * (1/H(0) + sum_{j=1}^{n-1} H(j-1)!/G(j)!)
+        phi(k+1) = (1 + G(k) phi(k)) / H(k).
 
-    where X(k)! = X(k) X(k-1) ... X(1) and X(0)! = 1.  The quotients are
-    accumulated as running ratios: the raw factorials under/overflow long
-    before the quotients do.
+    Reads H(0..n-1) and G(1..n-1).  Raises SingularRecipeError naming k when
+    H(k) = 0, and DomainError naming the level when phi leaves the
+    double-precision range.
     """
     _check_level(n)
-    if n > n_cap:
-        raise DomainError(f"recipe level n = {n} exceeds the cap {n_cap}")
-    if n == 0:
-        return 0.0
-    h0 = H(0)
-    if h0 == 0:
-        raise SingularRecipeError("H", 0)
-    prefactor = 1.0
-    for i in range(1, n):
-        hi = H(i)
-        if hi == 0:
-            raise SingularRecipeError("H", i)
-        prefactor *= G(i) / hi
-    total = 1.0 / h0
-    term = None  # H(j-1)!/G(j)!
-    for j in range(1, n):
-        gj = G(j)
-        if gj == 0:
-            raise SingularRecipeError("G", j)
-        term = 1.0 / gj if j == 1 else term * H(j - 1) / gj
-        total += term
-    return prefactor * total
+    phi = 0.0
+    for k in range(n):
+        h = H(k)
+        if h == 0:
+            raise SingularRecipeError("H", k)
+        phi = (1.0 + G(k) * phi) / h if k else 1.0 / h  # G(0) meets phi(0) = 0
+        if not cmath.isfinite(phi):
+            raise DomainError(f"recipe phi({k + 1}) leaves the double-precision range")
+    return phi
 
 
 def phi_ratio_check(

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .dsf import DeformationParams, FamilyId, _as_params, _check_family_params
+from .dsf import _EXPONENTS, DeformationParams, FamilyId, _as_params, _check_family_params
 from .errors import DomainError
 
 __all__ = [
@@ -27,17 +27,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-
-# exponents (f, g, h, k) of base**(e*N)/sqrt(2), per base letter
-_COEFF_EXPONENTS = {
-    "A": (1, 2, 2, 1),
-    "B": (-2, -1, -1, -2),
-    "C": (-2, 2, -1, 1),
-    "D": (1, -1, 2, -2),
-}
-
-# G(N) = base**shift * H(N-2), per base letter
-_SHIFT_POWER = {"A": 3, "B": -3, "C": 0, "D": 0}
 
 
 @dataclass(frozen=True)
@@ -64,42 +53,36 @@ class GHPair:
 
 
 def shift_power(family: FamilyId | str) -> int:
-    """Exponent s with G(N) = base**s * H(N-2) for the given family."""
-    family = FamilyId.parse(family)
-    return _SHIFT_POWER[family.tag.letter]
+    """Exponent s = 1 + e_f + e_k with G(N) = base**s * H(N-2) for the given family."""
+    ef, ek = _EXPONENTS[FamilyId.parse(family).tag.letter]
+    return 1 + ef + ek
 
 
 def coefficients(family: FamilyId | str, params: DeformationParams | float) -> CoefficientSet:
     """Coefficient quadruple (f, g, h, k) of a built-in family.
 
-    Honors the family's c(0), d(0) constants through g(n) = c0 x**n k(n) and
-    h(n) = d0 x**n f(n); the printed solutions are the c0 = d0 = 1 case.
+    f(n) = x**(e_f n)/sqrt(2) and k(n) = x**(e_k n)/sqrt(2) from the family's
+    exponent pair; g(n) = c0 x**n k(n) and h(n) = d0 x**n f(n) honor the
+    family's c(0), d(0) constants, the printed solutions being c0 = d0 = 1.
     """
     family = FamilyId.parse(family)
     params = _as_params(params)
     _check_family_params(family, params, "coefficients")
     x = params.power_base
-    ef, eg, eh, ek = _COEFF_EXPONENTS[family.tag.letter]
+    ef, ek = _EXPONENTS[family.tag.letter]
     c0, d0 = family.c0, family.d0
 
     def f(n: int) -> float:
         return x ** (ef * n) / _SQRT2
 
+    def g(n: int) -> float:
+        return c0 * x ** ((ek + 1) * n) / _SQRT2
+
+    def h(n: int) -> float:
+        return d0 * x ** ((ef + 1) * n) / _SQRT2
+
     def k(n: int) -> float:
         return x ** (ek * n) / _SQRT2
-
-    if (c0, d0) == (1.0, 1.0):
-        def g(n: int) -> float:
-            return x ** (eg * n) / _SQRT2
-
-        def h(n: int) -> float:
-            return x ** (eh * n) / _SQRT2
-    else:
-        def g(n: int) -> float:
-            return c0 * x**n * k(n)
-
-        def h(n: int) -> float:
-            return d0 * x**n * f(n)
 
     return CoefficientSet(f=f, g=g, h=h, k=k)
 
@@ -107,44 +90,28 @@ def coefficients(family: FamilyId | str, params: DeformationParams | float) -> C
 def gh_pair(family: FamilyId | str, params: DeformationParams | float) -> GHPair:
     """Operator functions H(N), G(N) of a built-in family in closed form.
 
-    Two-parameter families carry an overall factor p and use the base Q = q/p.
-    Families with c(0) d(0) != 1 have no printed pair and fall back to the
-    general construction.
+    The general construction (:func:`general_gh`) applied to the family's
+    power laws, with s = e_f + e_k and cd = c(0) d(0):
+
+        G(N) = q x**(s N - e_f) (1 + cd x**(2N-2)) / 2,
+        H(N) = pref x**(s N + e_k) (1 + cd x**(2N+2)) / 2,
+
+    where x is q or Q = q/p and pref is 1 or p.
     """
     family = FamilyId.parse(family)
     params = _as_params(params)
     _check_family_params(family, params, "gh_pair")
-    if (family.c0, family.d0) != (1.0, 1.0):
-        cs = coefficients(family, params)
-        return general_gh(cs.f, cs.k, family.c0, family.d0, params)
-    x = params.power_base
+    x, q = params.power_base, params.q
     pref = params.p if family.two_parameter else 1.0
-    letter = family.tag.letter
+    ef, ek = _EXPONENTS[family.tag.letter]
+    s = ef + ek
+    cd = family.c0 * family.d0
 
-    if letter == "A":
-        def H(n):
-            return 0.5 * pref * x ** (2 * n + 1) * (1.0 + x ** (2 * n + 2))
+    def G(n: int) -> float:
+        return 0.5 * q * x ** (s * n - ef) * (1.0 + cd * x ** (2 * n - 2))
 
-        def G(n):
-            return 0.5 * pref * x ** (2 * n) * (1.0 + x ** (2 * n - 2))
-    elif letter == "B":
-        def H(n):
-            return 0.5 * pref * x ** (-2 * n) * (1.0 + x ** (-2 * n - 2))
-
-        def G(n):
-            return 0.5 * pref * x ** (-2 * n + 1) * (1.0 + x ** (-2 * n + 2))
-    elif letter == "C":
-        def H(n):
-            return 0.5 * pref * x ** (1 - n) * (1.0 + x ** (2 * n + 2))
-
-        def G(n):
-            return 0.5 * pref * x ** (n + 1) * (1.0 + x ** (-2 * n + 2))
-    else:  # D
-        def H(n):
-            return 0.5 * pref * x**n * (1.0 + x ** (-2 * n - 2))
-
-        def G(n):
-            return 0.5 * pref * x ** (-n) * (1.0 + x ** (2 * n - 2))
+    def H(n: int) -> float:
+        return 0.5 * pref * x ** (s * n + ek) * (1.0 + cd * x ** (2 * n + 2))
 
     return GHPair(G=G, H=H)
 
@@ -203,7 +170,9 @@ def verify_ratio_recursions(
     Checks h(n+1)/h(n) = x f(n+1)/f(n) and k(n-1)/k(n) = x g(n-1)/g(n) with
     x = q (one parameter) or Q = q/p.  The residuals are formed on the ratios
     themselves, which stay O(x**2) regardless of n; cross-multiplied forms
-    would drown in the dynamic range of the raw coefficients.
+    would drown in the dynamic range of the raw coefficients.  Raises
+    DomainError naming the level where a coefficient or ratio leaves the
+    double-precision range.
     """
     if n_max < 2:
         raise DomainError(f"n_max must be >= 2, got {n_max}")
@@ -211,8 +180,13 @@ def verify_ratio_recursions(
     x = params.power_base
     worst = 0.0
     for n in range(0, n_max + 1):
-        up = abs(cs.h(n + 1) / cs.h(n) - x * cs.f(n + 1) / cs.f(n))
-        down = abs(cs.k(n - 1) / cs.k(n) - x * cs.g(n - 1) / cs.g(n))
+        try:
+            up = abs(cs.h(n + 1) / cs.h(n) - x * cs.f(n + 1) / cs.f(n))
+            down = abs(cs.k(n - 1) / cs.k(n) - x * cs.g(n - 1) / cs.g(n))
+        except (OverflowError, ZeroDivisionError):
+            up = down = math.inf
+        if not up + down < math.inf:
+            raise DomainError(f"ratio recursions leave the double-precision range at level {n}")
         worst = max(worst, up + down)
     return worst
 

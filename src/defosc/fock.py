@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dsf import DeformationParams, FamilyId, _as_params, phi_closed
+from .dsf import DeformationParams, FamilyId, _as_params, _check_level, phi_closed
 from .errors import DomainError
 from .families import GHPair, coefficients, gh_pair
 
@@ -84,6 +84,7 @@ def build_rep(
     """
     family = FamilyId.parse(family)
     params = _as_params(params)
+    _check_level(dim, "dim")
     if not 3 <= dim <= MAX_DIM:
         raise DomainError(f"dim must be in [3, {MAX_DIM}], got {dim}")
     if phi is None:

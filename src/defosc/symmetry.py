@@ -14,11 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsf import (
-    DeformationParams,
-    FamilyId,
-    _phi_power_base,
-)
+from .dsf import _EXPONENTS, DeformationParams, FamilyId, _phi_power_base
 from .errors import DegenerateOperatorError, DomainError, NoMetricError
 from .fock import FockRep
 
@@ -34,14 +30,6 @@ __all__ = [
 
 _UNIT_CIRCLE_TOL = 1e-12
 _CROSS_CHECK_TOL = 1e-10
-
-# ratio exponent e_j(n) with phi_j = x**e_j * phi_1
-_RATIO_EXPONENT = {
-    1: lambda n: 0,
-    2: lambda n: 3 * (2 * n - 1),
-    3: lambda n: 3 * (n - 1),
-    4: lambda n: 3 * n,
-}
 
 
 def _validate_sym_parameter(q) -> complex:
@@ -68,8 +56,9 @@ def symmetrized_routes(base: FamilyId | str, q, n: int) -> tuple[complex, comple
     * factorized  = (x**m + x**-m) (s**(n-1) + s**(1-n))
                     / ((x**n + x**-n)(x**(n-1) + x**(1-n))) * [[n]]_s
 
-    with s = sqrt(x) (principal branch), m = 3n - 1 - e(n) and e(n) the
-    family's ratio exponent relative to the first structure function.  The
+    with s = sqrt(x) (principal branch) and m = (1 + e_f + e_k) n - e_f from
+    the family's exponent pair, which is 3n - 1 minus the family's ratio
+    exponent relative to the first structure function.  The
     two expressions are algebraically equal; evaluating both is the internal
     consistency check used by :func:`phi_symmetrized`.
     """
@@ -77,14 +66,15 @@ def symmetrized_routes(base: FamilyId | str, q, n: int) -> tuple[complex, comple
     if base.two_parameter:
         raise DomainError("unit-circle symmetrization applies to one-parameter families")
     x = _validate_sym_parameter(q)
-    j = base.index
+    letter = base.tag.letter
     if n == 0:
         return 0j, 0j
-    avg = 0.5 * (_phi_power_base(j, x, n) + _phi_power_base(j, 1.0 / x, n))
+    avg = 0.5 * (_phi_power_base(letter, x, n) + _phi_power_base(letter, 1.0 / x, n))
     if x == 1:
         return avg, complex(n)
     s = cmath.sqrt(x)
-    m = 3 * n - 1 - _RATIO_EXPONENT[j](n)
+    ef, ek = _EXPONENTS[letter]
+    m = (1 + ef + ek) * n - ef
     sym_bracket = (s**n - s**-n) / (s - 1.0 / s)
     fact = (
         (x**m + x**-m)
@@ -143,9 +133,9 @@ def phi_symmetrized_qp(base: FamilyId | str, q, p, n: int):
         )
         if not (q > 0 and p > 0):
             raise DomainError("real parameters must be positive")
-    j = base.index
-    forward = _phi_power_base(j, q / p, n) / p
-    swapped = _phi_power_base(j, p / q, n) / q
+    letter = base.tag.letter
+    forward = _phi_power_base(letter, q / p, n, p)
+    swapped = _phi_power_base(letter, p / q, n, q)
     value = 0.5 * (forward + swapped)
     return value if complex_input else value.real if isinstance(value, complex) else value
 
@@ -210,19 +200,19 @@ def find_metric(rep: FockRep, target: str = "X", tol: float = 1e-10) -> MetricDi
     T = _target_matrix(rep, target)
     dim = rep.dim
     eta = np.empty(dim)
-    eta[0] = 1.0
+    eta[0] = level = 1.0
     worst_gap, worst_idx = 0.0, 0
     for n in range(dim - 1):
-        sub, sup = T[n + 1, n], T[n, n + 1]
+        sub, sup = complex(T[n + 1, n]), complex(T[n, n + 1])
         if sub == 0 or sup == 0:
             raise DegenerateOperatorError(
                 f"{target} has a vanishing off-diagonal entry at level {n}"
             )
-        if np.conj(sup) == sub:  # entry pair already Hermitian: ratio exactly 1
-            eta[n + 1] = eta[n]
+        if sup.conjugate() == sub:  # entry pair already Hermitian: ratio exactly 1
+            eta[n + 1] = level
             continue
-        r_up = np.conj(sup) / sub
-        r_down = sup / np.conj(sub)
+        r_up = sup.conjugate() / sub
+        r_down = sup / sub.conjugate()
         gap = abs(r_up - r_down)
         if gap > worst_gap:
             worst_gap, worst_idx = gap, n
@@ -230,14 +220,16 @@ def find_metric(rep: FockRep, target: str = "X", tol: float = 1e-10) -> MetricDi
             raise NoMetricError("entrywise metric conditions are inconsistent", worst_idx)
         if abs(r_up.imag) > tol * max(1.0, abs(r_up)) or r_up.real <= 0:
             raise NoMetricError(f"metric ratio at level {n} is not positive: {r_up!r}", n)
-        eta[n + 1] = eta[n] * r_up.real
-    if not np.all(np.isfinite(eta)):
-        raise NoMetricError("metric entries left the double-precision range", int(np.argmax(~np.isfinite(eta))))
+        level *= r_up.real
+        if not 0.0 < level < float("inf"):
+            raise NoMetricError("metric entries left the double-precision range", n + 1)
+        eta[n + 1] = level
 
     t = rep.trusted
-    similar = (eta[:, None] * T) / eta[None, :]
-    gap = np.abs(similar - T.conj().T)[:t, :t]
+    with np.errstate(over="ignore", invalid="ignore"):
+        similar = (eta[:, None] * T) / eta[None, :]
+        gap = np.abs(similar - T.conj().T)[:t, :t]
     residual = float(gap.max())
-    if residual > tol:
+    if not residual <= tol:
         raise NoMetricError("assembled metric fails the similarity relation", int(gap.argmax()))
     return MetricDiagonal(eta=eta, residual=residual)

@@ -210,6 +210,18 @@ class TestErrorPaths:
         assert code == 2
         assert "q > 0" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--family", "A", "--q", "0.5", "--dim", "600"),
+        ("dsf", "--family", "A", "--q", "0.5", "--n-max", "3000"),
+    ])
+    def test_double_range_exit_is_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "double-precision range" in lines[0]
+
     def test_bad_q_range_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["degeneracy", "--family", "A", "--n", "1", "--m", "0",

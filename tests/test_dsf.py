@@ -117,6 +117,18 @@ class TestPhiClosed:
         with pytest.raises(DomainError):
             phi_closed("A", 1.1, -2)
 
+    @pytest.mark.parametrize("q", (math.inf, math.nan))
+    def test_rejects_non_finite_parameters(self, q):
+        with pytest.raises(DomainError, match="finite q"):
+            phi_closed("A", q, 5)
+        with pytest.raises(DomainError, match="finite p"):
+            phi_closed("At", DeformationParams(q=1.1, p=q), 5)
+
+    @pytest.mark.parametrize("family,q,n", [("A", 0.5, 3000), ("A", 0.5, 600), ("B", 2.0, 3000)])
+    def test_out_of_range_names_the_level(self, family, q, n):
+        with pytest.raises(DomainError, match=rf"phi\({n}\) leaves the double-precision range"):
+            phi_closed(family, q, n)
+
 
 class TestPhiFromGH:
     def test_undeformed_oscillator(self):
@@ -144,19 +156,32 @@ class TestPhiFromGH:
     def test_zero_start(self):
         assert phi_from_gh(lambda n: 1.0, lambda n: 1.0, 0) == 0.0
 
+    def test_reads_no_g_at_zero(self):
+        # G(0) only ever multiplies phi(0) = 0; G(n) = 1/n must not be called there
+        assert phi_from_gh(lambda n: 1.0 / n, lambda n: 1.0, 3) == 2.0
+
     def test_singular_names_the_index(self):
+        # G(k) = 0 is regular for the recurrence: phi = 1, 2, 1, 2, 3
+        assert phi_from_gh(lambda n: 0.0 if n == 2 else 1.0, lambda n: 1.0, 5) == 3.0
         with pytest.raises(SingularRecipeError) as err:
-            phi_from_gh(lambda n: 0.0 if n == 2 else 1.0, lambda n: 1.0, 5)
-        assert err.value.index == 2
-        assert err.value.which == "G"
+            phi_from_gh(lambda n: 1.0, lambda n: 0.0 if n == 3 else 1.0, 5)
+        assert err.value.index == 3
+        assert err.value.which == "H"
         with pytest.raises(SingularRecipeError) as err:
             phi_from_gh(lambda n: 1.0, lambda n: 0.0, 1)
         assert err.value.index == 0
 
-    def test_cap_guard(self):
-        with pytest.raises(DomainError):
-            phi_from_gh(lambda n: 1.0, lambda n: 1.0, 201)
-        assert phi_from_gh(lambda n: 1.0, lambda n: 1.0, 300, n_cap=400) == 300.0
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("q", (0.9, 1.1))
+    def test_matches_closed_form_past_level_200(self, family, q):
+        params = params_for(family, q)
+        pair = gh_pair(family, params)
+        assert rel_err(phi_from_gh(pair.G, pair.H, 400), phi_closed(family, params, 400)) <= 1e-12
+
+    def test_overflow_names_the_level(self):
+        pair = gh_pair("A", 0.5)
+        with pytest.raises(DomainError, match=r"phi\(\d+\) leaves the double-precision range"):
+            phi_from_gh(pair.G, pair.H, 1200)
 
     @given(st.sampled_from(ALL_FAMILIES),
            st.floats(min_value=0.85, max_value=1.25),

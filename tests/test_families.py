@@ -19,6 +19,16 @@ from conftest import ALL_FAMILIES, ONE_PARAM, TWO_PARAM, rel_err
 
 SQRT2 = math.sqrt(2.0)
 
+# the paper's printed exponents (f, g, h, k) of base**(e n)/sqrt(2), and the
+# shift s in G(N) = base**s H(N-2), per base letter
+PRINTED_EXPONENTS = {
+    "A": (1, 2, 2, 1),
+    "B": (-2, -1, -1, -2),
+    "C": (-2, 2, -1, 1),
+    "D": (1, -1, 2, -2),
+}
+PRINTED_SHIFT = {"A": 3, "B": -3, "C": 0, "D": 0}
+
 
 def params_for(tag, q, p=1.1):
     if FamilyTag.parse(tag).two_parameter:
@@ -56,6 +66,17 @@ class TestCoefficients:
     def test_arity_mismatch(self):
         with pytest.raises(DomainError):
             coefficients("A", DeformationParams(q=1.1, p=1.3))
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("q", (0.9, 1.3))
+    def test_printed_exponents(self, family, q):
+        params = params_for(family, q)
+        x = params.power_base
+        cs = coefficients(family, params)
+        exponents = PRINTED_EXPONENTS[FamilyTag.parse(family).letter]
+        for n in range(-1, 12):
+            for fn, e in zip((cs.f, cs.g, cs.h, cs.k), exponents):
+                assert rel_err(fn(n), x ** (e * n) / SQRT2) <= 1e-14
 
 
 class TestGHPair:
@@ -95,6 +116,7 @@ class TestGHPair:
         params = params_for(family, q)
         x = params.power_base
         s = shift_power(family)
+        assert s == PRINTED_SHIFT[FamilyTag.parse(family).letter]
         pair = gh_pair(family, params)
         for n in range(2, 61):
             assert rel_err(pair.G(n), x**s * pair.H(n - 2)) <= 1e-12
@@ -165,6 +187,11 @@ class TestRatioRecursions:
     def test_needs_two_levels(self):
         with pytest.raises(DomainError):
             verify_ratio_recursions(coefficients("A", 1.1), 1.1, 1)
+
+    @pytest.mark.parametrize("family,q,n_max", [("A", 0.5, 600), ("B", 0.5, 600), ("C", 2.0, 1200)])
+    def test_out_of_range_names_the_level(self, family, q, n_max):
+        with pytest.raises(DomainError, match="double-precision range at level"):
+            verify_ratio_recursions(coefficients(family, q), q, n_max)
 
     def test_detects_broken_quadruple(self):
         cs = coefficients("A", 1.1)

@@ -77,6 +77,15 @@ class TestBuildRep:
         with pytest.raises(DomainError):
             build_rep("A", 1.1, 10_001)
 
+    @pytest.mark.parametrize("dim", (3.5, "30", True))
+    def test_non_integer_dimension(self, dim):
+        with pytest.raises(DomainError, match="dim must be an integer"):
+            build_rep("A", 1.1, dim)
+
+    def test_overflowing_phi_names_the_level(self):
+        with pytest.raises(DomainError, match=r"phi\(\d+\) leaves the double-precision range"):
+            build_rep("A", 0.5, 600)
+
     def test_negative_phi_names_level(self):
         broken = lambda n: -1.0 if n == 4 else float(n)
         with pytest.raises(DomainError, match="phi\\(4\\)"):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from defosc import (
     DegenerateOperatorError,
     DeformationParams,
     DomainError,
+    NoMetricError,
     PoleError,
     SymmetrizedDSF,
     build_rep,
@@ -184,6 +186,36 @@ class TestFindMetric:
         similar = (eta[:, None] * rep.X) / eta[None, :]
         t = rep.trusted
         assert np.abs(similar - rep.X.conj().T)[:t, :t].max() <= 1e-10
+
+    def test_underflowing_metric_names_the_first_bad_level(self):
+        rep = build_rep("C", 1.1, 100)
+        with pytest.raises(NoMetricError, match="double-precision range") as err:
+            find_metric(rep, "X")
+        # eta(n+1)/eta(n) = conj(X[n, n+1]) / X[n+1, n]; the first level where
+        # the running product leaves (0, inf) is the one reported
+        eta, level = 1.0, None
+        for n in range(rep.dim - 1):
+            eta *= (np.conj(rep.X[n, n + 1]) / rep.X[n + 1, n]).real
+            if not 0.0 < eta < math.inf:
+                level = n + 1
+                break
+        assert err.value.index == level
+
+    @pytest.mark.parametrize("family,q,p", [
+        *((family, q, None) for family in ONE_PARAM for q in (0.9, 1.0, 1.1)),
+        *((family, q, p) for family in TWO_PARAM for q in (0.9, 1.0, 1.1) for p in (0.9, 1.0, 1.1)),
+    ])
+    @pytest.mark.parametrize("target", ("X", "P"))
+    def test_finite_residual_or_no_metric_at_dim_100(self, family, q, p, target):
+        rep = build_rep(family, DeformationParams(q=q, p=p), 100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                metric = find_metric(rep, target)
+            except NoMetricError:
+                return
+        assert metric.residual <= 1e-10
+        assert np.all(np.isfinite(metric.eta)) and np.all(metric.eta > 0)
 
     def test_degenerate_operator_rejected(self):
         rep = build_rep("A", 1.1, 8)
