@@ -243,7 +243,7 @@ def _phi_power_base(
         value = 2.0 * x ** (a * n + b) * qbr * (1.0 + x ** (1 - n)) / (d1 * d2) / p
     except OverflowError:
         value = float("inf")
-    if not cmath.isfinite(value):
+    if not cmath.isfinite(value) or value == 0 and not isinstance(x, complex):
         raise DomainError(f"phi({n}) leaves the double-precision range at base {x!r}")
     return value
 

@@ -1,4 +1,17 @@
-"""Truncated Fock-space matrix representations and algebra verifiers.
+"""Truncated Fock-space representations and algebra verifiers.
+
+Storage: a+ and a- are single off-diagonals, and X and P are tridiagonal
+with a zero diagonal, so a :class:`FockRep` keeps O(D) level vectors: the
+ladder amplitudes sqrt(phi(1..D-1)) and the sub- and super-diagonals of X
+and P.  The dense D x D matrices are read-only properties built on request
+in O(D^2); no library code reads them.
+
+Band rule: the verifiers hold each operator as {offset: vector} with
+vector[r] = M[r, r + offset], zero where the column leaves the matrix.  The
+product of bands a and b lands on band a + b with entry
+A[r, r + a] * B[r + a, r + a + b], so every product, absolute value and
+scale of the dense formulas is formed band by band in O(D).  Every entry off
+the bands is exactly 0 in both layouts, so the maxima are the same.
 
 At truncation dimension D the quadratic identities hold exactly on the
 leading (D-1) x (D-1) sub-block (one ladder step from level D-2 stays inside
@@ -27,26 +40,122 @@ __all__ = ["HBAR", "MAX_DIM", "FockRep", "ResidualReport", "build_rep",
 
 HBAR = 1.0  # fixed, not a parameter
 
-MAX_DIM = 10_000  # dense-storage guard
+# Bounds the O(D) verifier work and the dense properties (16 D^2 bytes each);
+# the stored representation itself is O(D).
+MAX_DIM = 10_000
+
+
+class _Bands(dict):
+    """An operator as {offset: vector}, vector[r] = M[r, r + offset].
+
+    Every vector has length D; rows whose column r + offset falls outside
+    the matrix hold 0.
+    """
+
+    @classmethod
+    def of(cls, dim: int, diagonals: dict[int, np.ndarray]) -> "_Bands":
+        """Pad diagonals as ``np.diag(M, offset)`` reads them to length-D rows."""
+        bands = cls()
+        for offset, diagonal in diagonals.items():
+            rows = np.zeros(dim, dtype=diagonal.dtype)
+            rows[max(-offset, 0):dim - max(offset, 0)] = diagonal
+            bands[offset] = rows
+        return bands
+
+    def dense(self) -> np.ndarray:
+        dim = len(next(iter(self.values())))
+        matrix = np.zeros((dim, dim), dtype=complex)
+        for offset, rows in self.items():
+            matrix += np.diag(rows[max(-offset, 0):dim - max(offset, 0)], offset)
+        return matrix
+
+    def __matmul__(self, other: "_Bands") -> "_Bands":
+        out = _Bands()
+        for a, left in self.items():
+            for b, right in other.items():
+                shifted = right  # shifted[r] = right[r + a]
+                if a:
+                    shifted = np.zeros_like(right)
+                    if a > 0:
+                        shifted[:-a] = right[a:]
+                    else:
+                        shifted[-a:] = right[:a]
+                term = left * shifted
+                out[a + b] = out[a + b] + term if a + b in out else term
+        return out
+
+    def __add__(self, other: "_Bands") -> "_Bands":
+        out = _Bands(self)
+        for offset, rows in other.items():
+            out[offset] = out[offset] + rows if offset in out else rows
+        return out
+
+    def __neg__(self) -> "_Bands":
+        return _Bands({offset: -rows for offset, rows in self.items()})
+
+    def __sub__(self, other: "_Bands") -> "_Bands":
+        return self + -other
+
+    def __rmul__(self, scalar: complex) -> "_Bands":
+        return _Bands({offset: scalar * rows for offset, rows in self.items()})
+
+    def __abs__(self) -> "_Bands":
+        return _Bands({offset: np.abs(rows) for offset, rows in self.items()})
 
 
 @dataclass(frozen=True)
 class FockRep:
-    """Dense truncated matrices of a+, a-, N, X, P for one family."""
+    """Truncated a+, a-, N, X, P of one family, stored as level vectors.
+
+    For n = 0 .. D-2: ``ladder[n]`` = sqrt(phi(n+1)) = a+[n+1, n] = a-[n, n+1];
+    ``x_sub[n]`` = X[n+1, n] and ``x_sup[n]`` = X[n, n+1]; ``p_sub`` and
+    ``p_sup`` likewise for P.  The properties ``a_plus``, ``a_minus``,
+    ``num``, ``X`` and ``P`` build fresh dense matrices in O(D^2).
+    """
 
     family: FamilyId
     params: DeformationParams
     dim: int
-    a_plus: np.ndarray
-    a_minus: np.ndarray
-    num: np.ndarray
-    X: np.ndarray
-    P: np.ndarray
+    ladder: np.ndarray
+    x_sub: np.ndarray
+    x_sup: np.ndarray
+    p_sub: np.ndarray
+    p_sup: np.ndarray
 
     @property
     def trusted(self) -> int:
         """Size of the leading block on which quadratic identities are exact."""
         return self.dim - 1
+
+    def _bands(self, name: str) -> _Bands:
+        diagonals = {
+            "a_plus": {-1: self.ladder},
+            "a_minus": {1: self.ladder},
+            "num": {0: np.arange(self.dim, dtype=float)},
+            "X": {-1: self.x_sub, 1: self.x_sup},
+            "P": {-1: self.p_sub, 1: self.p_sup},
+        }[name]
+        return _Bands.of(self.dim, diagonals)
+
+    @property
+    def a_plus(self) -> np.ndarray:
+        return self._bands("a_plus").dense()
+
+    @property
+    def a_minus(self) -> np.ndarray:
+        return self._bands("a_minus").dense()
+
+    @property
+    def num(self) -> np.ndarray:
+        return self._bands("num").dense()
+
+    @property
+    def X(self) -> np.ndarray:
+        return self._bands("X").dense()
+
+    @property
+    def P(self) -> np.ndarray:
+        return self._bands("P").dense()
 
 
 @dataclass(frozen=True)
@@ -61,6 +170,21 @@ class ResidualReport:
     @property
     def passed(self) -> bool:
         return self.residual <= self.tol
+
+
+def _level_values(fn: Callable[[int], float], name: str, levels: range) -> np.ndarray:
+    """fn at Python-int levels; DomainError naming the first value out of double range."""
+    values = []
+    try:
+        for n in levels:
+            values.append(fn(n))
+    except OverflowError:
+        raise DomainError(f"{name}({n}) leaves the double-precision range") from None
+    out = np.array(values, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise DomainError(f"{name}({levels[bad[0]]}) leaves the double-precision range")
+    return out
 
 
 def build_rep(
@@ -81,6 +205,9 @@ def build_rep(
     phi
         Optional structure-function override (used e.g. to inject a
         perturbation); defaults to the family's closed form.
+
+    Raises DomainError naming the level where phi is negative, or where phi
+    or a coefficient f, g, h, k leaves the double-precision range.
     """
     family = FamilyId.parse(family)
     params = _as_params(params)
@@ -90,67 +217,72 @@ def build_rep(
     if phi is None:
         phi = lambda n: phi_closed(family, params, n)  # noqa: E731
 
-    phi_vals = np.empty(dim + 1)
-    for n in range(dim + 1):
-        value = phi(n)
-        if value < 0:
-            raise DomainError(f"phi({n}) = {value!r} < 0: ladder amplitudes undefined")
-        phi_vals[n] = value
-
+    phi_vals = _level_values(phi, "phi", range(dim + 1))
+    negative = np.flatnonzero(phi_vals < 0)
+    if negative.size:
+        n = int(negative[0])
+        raise DomainError(f"phi({n}) = {float(phi_vals[n])!r} < 0: ladder amplitudes undefined")
     roots = np.sqrt(phi_vals[1:dim])  # sqrt(phi(1)) .. sqrt(phi(D-1))
-    a_plus = np.zeros((dim, dim), dtype=complex)
-    a_plus[np.arange(1, dim), np.arange(dim - 1)] = roots
-    a_minus = np.zeros((dim, dim), dtype=complex)
-    a_minus[np.arange(dim - 1), np.arange(1, dim)] = roots
-    num = np.diag(np.arange(dim)).astype(complex)
 
     cs = coefficients(family, params)
-    levels = np.arange(dim)
-    f_diag = np.array([cs.f(n) for n in levels])
-    g_diag = np.array([cs.g(n) for n in levels])
-    h_diag = np.array([cs.h(n) for n in levels])
-    k_diag = np.array([cs.k(n) for n in levels])
+    levels = range(dim)
+    f, g, h, k = (_level_values(fn, name, levels)
+                  for name, fn in zip("fghk", (cs.f, cs.g, cs.h, cs.k)))
+    # X = f(N) a- + g(N) a+ and P = i (k(N) a+ - h(N) a-), row by row
+    return FockRep(family=family, params=params, dim=dim, ladder=roots,
+                   x_sub=(g[1:] * roots).astype(complex),
+                   x_sup=(f[:-1] * roots).astype(complex),
+                   p_sub=1j * (k[1:] * roots),
+                   p_sup=-1j * (h[:-1] * roots))
 
-    X = f_diag[:, None] * a_minus + g_diag[:, None] * a_plus
-    P = 1j * (k_diag[:, None] * a_plus - h_diag[:, None] * a_minus)
-    return FockRep(family=family, params=params, dim=dim,
-                   a_plus=a_plus, a_minus=a_minus, num=num, X=X, P=P)
+
+def _split_residual(R: _Bands, scale: _Bands, trusted: int) -> tuple[float, float]:
+    """Max scaled |R| over the trusted block and over the last row and column.
+
+    Row r of band `offset` is entry (r, r + offset), which lies in the
+    trusted block iff r < trusted - max(offset, 0).
+    """
+    inner, boundary = [], []
+    for offset, rows in R.items():
+        scaled = np.abs(rows) / np.maximum(scale[offset], 1.0)
+        cut = trusted - max(offset, 0)
+        inner.append(scaled[:cut].max(initial=0.0))
+        boundary.append(scaled[cut:].max(initial=0.0))
+    return float(np.max(inner)), float(np.max(boundary))
 
 
-def _split_residual(matrix: np.ndarray, scale: np.ndarray, trusted: int) -> tuple[float, float]:
-    scaled = np.abs(matrix) / np.maximum(scale, 1.0)
-    inner = scaled[:trusted, :trusted].max()
-    mask = np.zeros(matrix.shape, dtype=bool)
-    mask[trusted:, :] = True
-    mask[:, trusted:] = True
-    boundary = scaled[mask].max()
-    return float(inner), float(boundary)
+def _eye(dim: int) -> _Bands:
+    return _Bands({0: np.ones(dim)})
 
 
 def verify_heisenberg(rep: FockRep, tol: float = 1e-10) -> ResidualReport:
     """Scaled residual of p X P - q P X - i*hbar on the trusted block."""
     p_eff = rep.params.p if rep.params.two_parameter else 1.0
     q = rep.params.q
-    eye = np.eye(rep.dim)
-    R = p_eff * (rep.X @ rep.P) - q * (rep.P @ rep.X) - 1j * HBAR * eye
-    absX, absP = np.abs(rep.X), np.abs(rep.P)
+    X, P, eye = rep._bands("X"), rep._bands("P"), _eye(rep.dim)
+    R = p_eff * (X @ P) - q * (P @ X) - 1j * HBAR * eye
+    absX, absP = abs(X), abs(P)
     scale = abs(p_eff) * (absX @ absP) + abs(q) * (absP @ absX) + eye
     residual, boundary = _split_residual(R, scale, rep.trusted)
     return ResidualReport("heisenberg", residual, boundary, tol)
 
 
 def verify_gh_relation(rep: FockRep, gh: GHPair | None = None, tol: float = 1e-10) -> ResidualReport:
-    """Scaled residual of H(N) a- a+ - G(N) a+ a- - 1 on the trusted block."""
+    """Scaled residual of H(N) a- a+ - G(N) a+ a- - 1 on the trusted block.
+
+    Raises DomainError naming the level where G or H leaves the
+    double-precision range.
+    """
     if gh is None:
         gh = gh_pair(rep.family, rep.params)
     levels = range(rep.dim)
-    Hd = np.diag([gh.H(n) for n in levels])
-    Gd = np.diag([gh.G(n) for n in levels])
-    raise_then_lower = rep.a_minus @ rep.a_plus
-    lower_then_raise = rep.a_plus @ rep.a_minus
-    eye = np.eye(rep.dim)
+    Hd = _Bands({0: _level_values(gh.H, "H", levels)})
+    Gd = _Bands({0: _level_values(gh.G, "G", levels)})
+    ap, am, eye = rep._bands("a_plus"), rep._bands("a_minus"), _eye(rep.dim)
+    raise_then_lower = am @ ap
+    lower_then_raise = ap @ am
     R = Hd @ raise_then_lower - Gd @ lower_then_raise - eye
-    scale = np.abs(Hd) @ np.abs(raise_then_lower) + np.abs(Gd) @ np.abs(lower_then_raise) + eye
+    scale = abs(Hd) @ abs(raise_then_lower) + abs(Gd) @ abs(lower_then_raise) + eye
     residual, boundary = _split_residual(R, scale, rep.trusted)
     return ResidualReport("gh_relation", residual, boundary, tol)
 
@@ -161,19 +293,17 @@ def verify_ladder(rep: FockRep, tol: float = 1e-10) -> ResidualReport:
     The expected commutator diagonal is recomputed from the family's closed
     form, so representations built from a corrupted phi fail here too.
     """
-    ap, am, num = rep.a_plus, rep.a_minus, rep.num
-    abs_ap, abs_am, abs_num = np.abs(ap), np.abs(am), np.abs(num)
-    phi_vals = [phi_closed(rep.family, rep.params, n) for n in range(rep.dim + 1)]
-    steps = np.diag([phi_vals[n + 1] - phi_vals[n] for n in range(rep.dim)])
-    step_scale = np.diag([abs(phi_vals[n + 1]) + abs(phi_vals[n]) for n in range(rep.dim)])
+    ap, am, num = rep._bands("a_plus"), rep._bands("a_minus"), rep._bands("num")
+    abs_ap, abs_am, abs_num = abs(ap), abs(am), abs(num)
+    phi_vals = np.array([phi_closed(rep.family, rep.params, n) for n in range(rep.dim + 1)])
+    steps = _Bands({0: phi_vals[1:] - phi_vals[:-1]})
+    step_scale = _Bands({0: np.abs(phi_vals[1:]) + np.abs(phi_vals[:-1])})
     checks = (
         (num @ ap - ap @ num - ap, abs_num @ abs_ap + abs_ap @ abs_num + abs_ap),
         (num @ am - am @ num + am, abs_num @ abs_am + abs_am @ abs_num + abs_am),
         (am @ ap - ap @ am - steps, abs_am @ abs_ap + abs_ap @ abs_am + step_scale),
     )
-    residual = boundary = 0.0
-    for R, scale in checks:
-        inner, outer = _split_residual(R, scale, rep.trusted)
-        residual = max(residual, inner)
-        boundary = max(boundary, outer)
-    return ResidualReport("ladder", residual, boundary, tol)
+    # np.max, unlike the builtin max, lets a NaN residual through to the report
+    residual, boundary = np.max([_split_residual(R, scale, rep.trusted) for R, scale in checks],
+                                axis=0)
+    return ResidualReport("ladder", float(residual), float(boundary), tol)

@@ -171,21 +171,25 @@ class MetricDiagonal:
     residual: float
 
 
-def _target_matrix(rep: FockRep, target: str) -> np.ndarray:
+def _target_bands(rep: FockRep, target: str) -> tuple[np.ndarray, np.ndarray]:
+    """Sub- and super-diagonal of X or P: T[n+1, n] and T[n, n+1], n = 0..D-2."""
     name = str(target).strip().upper()
     if name == "X":
-        return rep.X
+        return rep.x_sub, rep.x_sup
     if name == "P":
-        return rep.P
+        return rep.p_sub, rep.p_sup
     raise DomainError(f"target must be 'X' or 'P', got {target!r}")
 
 
 def hermiticity_defect(rep: FockRep, target: str) -> float:
-    """Max-norm of T - T^dagger on the trusted block; zero iff T is Hermitian there."""
-    T = _target_matrix(rep, target)
-    t = rep.trusted
-    block = T[:t, :t]
-    return float(np.abs(block - block.conj().T).max())
+    """Max-norm of T - T^dagger on the trusted block; zero iff T is Hermitian there.
+
+    Entry (n+1, n) of T - T^dagger is sub[n] - conj(sup[n]) and entry
+    (n, n+1) has the same modulus; the zero diagonal contributes 0.
+    """
+    sub, sup = _target_bands(rep, target)
+    links = rep.trusted - 1  # links n -> n+1 inside the trusted block
+    return float(np.abs(sub[:links] - sup[:links].conj()).max())
 
 
 def find_metric(rep: FockRep, target: str = "X", tol: float = 1e-10) -> MetricDiagonal:
@@ -197,13 +201,11 @@ def find_metric(rep: FockRep, target: str = "X", tol: float = 1e-10) -> MetricDi
     the assembled eta must satisfy the full relation to `tol`.  eta(0) = 1.
     """
     rep.params.require_real_positive("find_metric")
-    T = _target_matrix(rep, target)
-    dim = rep.dim
-    eta = np.empty(dim)
+    sub_band, sup_band = _target_bands(rep, target)
+    eta = np.empty(rep.dim)
     eta[0] = level = 1.0
     worst_gap, worst_idx = 0.0, 0
-    for n in range(dim - 1):
-        sub, sup = complex(T[n + 1, n]), complex(T[n, n + 1])
+    for n, (sub, sup) in enumerate(zip(sub_band.tolist(), sup_band.tolist())):
         if sub == 0 or sup == 0:
             raise DegenerateOperatorError(
                 f"{target} has a vanishing off-diagonal entry at level {n}"
@@ -225,10 +227,14 @@ def find_metric(rep: FockRep, target: str = "X", tol: float = 1e-10) -> MetricDi
             raise NoMetricError("metric entries left the double-precision range", n + 1)
         eta[n + 1] = level
 
-    t = rep.trusted
+    # the similarity relation on the trusted block, link by link: entries
+    # (n+1, n) and (n, n+1) of eta T eta^-1 against those of T^dagger
+    links = rep.trusted - 1
+    sub, sup = sub_band[:links], sup_band[:links]
+    lower, upper = eta[:links], eta[1:links + 1]
     with np.errstate(over="ignore", invalid="ignore"):
-        similar = (eta[:, None] * T) / eta[None, :]
-        gap = np.abs(similar - T.conj().T)[:t, :t]
+        gap = np.maximum(np.abs((upper * sub) / lower - sup.conj()),
+                         np.abs((lower * sup) / upper - sub.conj()))
     residual = float(gap.max())
     if not residual <= tol:
         raise NoMetricError("assembled metric fails the similarity relation", int(gap.argmax()))

@@ -213,6 +213,9 @@ class TestErrorPaths:
     @pytest.mark.parametrize("argv", [
         ("verify", "--family", "A", "--q", "0.5", "--dim", "600"),
         ("dsf", "--family", "A", "--q", "0.5", "--n-max", "3000"),
+        ("verify", "--family", "A", "--q", "1.5", "--dim", "600"),  # phi underflows
+        ("verify", "--family", "B", "--q", "0.5", "--dim", "600"),
+        ("verify", "--family", "C", "--q", "0.5", "--dim", "530"),  # f(512) overflows
     ])
     def test_double_range_exit_is_domain_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)

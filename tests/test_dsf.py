@@ -124,7 +124,10 @@ class TestPhiClosed:
         with pytest.raises(DomainError, match="finite p"):
             phi_closed("At", DeformationParams(q=1.1, p=q), 5)
 
-    @pytest.mark.parametrize("family,q,n", [("A", 0.5, 3000), ("A", 0.5, 600), ("B", 2.0, 3000)])
+    @pytest.mark.parametrize("family,q,n", [
+        ("A", 0.5, 3000), ("A", 0.5, 600), ("B", 2.0, 3000),
+        ("A", 1.5, 439), ("B", 0.5, 216),  # underflow to 0.0 on a real base
+    ])
     def test_out_of_range_names_the_level(self, family, q, n):
         with pytest.raises(DomainError, match=rf"phi\({n}\) leaves the double-precision range"):
             phi_closed(family, q, n)

@@ -1,21 +1,30 @@
+import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
 
 from defosc import (
+    DegenerateOperatorError,
     DeformationParams,
     DomainError,
     FamilyTag,
+    GHPair,
+    MetricError,
     build_rep,
     coefficients,
+    find_metric,
+    gh_pair,
+    hermiticity_defect,
     phi_closed,
     verify_gh_relation,
     verify_heisenberg,
     verify_ladder,
 )
+from defosc.fock import MAX_DIM, _Bands, _split_residual
 
-from conftest import ALL_FAMILIES
+from conftest import ALL_FAMILIES, ONE_PARAM, TWO_PARAM
 
 SQRT2 = math.sqrt(2.0)
 
@@ -128,6 +137,14 @@ class TestVerifiers:
         assert not verify_gh_relation(rep).passed
         assert verify_ladder(rep).residual > 1e-10
 
+    def test_nan_amplitude_fails_every_check(self):
+        rep = build_rep("A", 1.1, 6)
+        ladder = rep.ladder.copy()
+        ladder[2] = math.nan
+        rep = dataclasses.replace(rep, ladder=ladder)
+        for report in (verify_gh_relation(rep), verify_ladder(rep)):
+            assert math.isnan(report.residual) and not report.passed
+
     def test_explicit_gh_argument(self):
         from defosc import gh_pair
 
@@ -143,3 +160,204 @@ class TestHermiticity:
         assert defect(build_rep("A", 1.0, 10)) == 0.0
         for q in (0.9, 1.015, 1.2):
             assert defect(build_rep("A", q, 10)) > 0.0
+
+
+class TestBandStorage:
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("q", (0.9, 1.1))
+    def test_band_entries_are_the_scalar_products(self, family, q):
+        params = params_for(family, q)
+        rep = build_rep(family, params, 40)
+        cs = coefficients(family, params)
+        for n in range(rep.dim - 1):
+            root = math.sqrt(phi_closed(family, params, n + 1))
+            assert rep.ladder[n] == root
+            assert rep.x_sub[n] == cs.g(n + 1) * root
+            assert rep.x_sup[n] == cs.f(n) * root
+            assert rep.p_sub[n] == 1j * cs.k(n + 1) * root
+            assert rep.p_sup[n] == -1j * cs.h(n) * root
+
+    def test_dense_properties_are_fresh_copies(self):
+        rep = build_rep("A", 1.1, 6)
+        rep.X[1, 0] = 0.0
+        assert rep.X[1, 0] == rep.x_sub[0] != 0.0
+
+    def test_coefficient_overflow_names_the_level(self):
+        # phi(0..530) stays finite at C, q = 0.5, but f(n) = q**(-2n)/sqrt(2) does not
+        with pytest.raises(DomainError, match=r"f\(512\) leaves the double-precision range"):
+            build_rep("C", 0.5, 530)
+
+    @pytest.mark.parametrize("broken,match", [
+        (GHPair(G=lambda n: 1.0, H=lambda n: 10.0 ** (400 if n == 3 else 0)), r"H\(3\)"),
+        (GHPair(G=lambda n: math.inf if n == 2 else 1.0, H=lambda n: 1.0), r"G\(2\)"),
+    ])
+    def test_gh_overflow_names_the_level(self, broken, match):
+        rep = build_rep("A", 1.0, 6)
+        with pytest.raises(DomainError, match=match + " leaves the double-precision range"):
+            verify_gh_relation(rep, broken)
+
+    def test_scale_to_max_dim(self):
+        start = time.perf_counter()
+        rep = build_rep("A", 1.0, MAX_DIM)
+        for report in (verify_heisenberg(rep), verify_gh_relation(rep), verify_ladder(rep)):
+            assert report.passed, report
+        assert hermiticity_defect(rep, "X") == 0.0
+        assert hermiticity_defect(rep, "P") == 0.0
+        elapsed = time.perf_counter() - start
+        stored = sum(getattr(rep, f.name).nbytes for f in dataclasses.fields(rep)
+                     if isinstance(getattr(rep, f.name), np.ndarray))
+        assert stored < 2_000_000  # the dense layout needed 5 * 16 * D**2 = 8 GB
+        assert elapsed < 2.0
+
+
+# ---------------------------------------------------------------------------
+# dense reference: the verifier bodies of the dense D x D layout, applied to
+# the dense properties, against which the banded verifiers are gated
+# ---------------------------------------------------------------------------
+
+def _dense_split(matrix, scale, trusted):
+    scaled = np.abs(matrix) / np.maximum(scale, 1.0)
+    inner = scaled[:trusted, :trusted].max()
+    mask = np.zeros(matrix.shape, dtype=bool)
+    mask[trusted:, :] = True
+    mask[:, trusted:] = True
+    return float(inner), float(scaled[mask].max())
+
+
+def _dense_heisenberg(rep, X, P):
+    p_eff = rep.params.p if rep.params.two_parameter else 1.0
+    q = rep.params.q
+    eye = np.eye(rep.dim)
+    R = p_eff * (X @ P) - q * (P @ X) - 1j * eye
+    absX, absP = np.abs(X), np.abs(P)
+    scale = abs(p_eff) * (absX @ absP) + abs(q) * (absP @ absX) + eye
+    return _dense_split(R, scale, rep.trusted)
+
+
+def _dense_gh_relation(rep, ap, am):
+    gh = gh_pair(rep.family, rep.params)
+    Hd = np.diag([gh.H(n) for n in range(rep.dim)])
+    Gd = np.diag([gh.G(n) for n in range(rep.dim)])
+    raise_then_lower, lower_then_raise = am @ ap, ap @ am
+    eye = np.eye(rep.dim)
+    R = Hd @ raise_then_lower - Gd @ lower_then_raise - eye
+    scale = np.abs(Hd) @ np.abs(raise_then_lower) + np.abs(Gd) @ np.abs(lower_then_raise) + eye
+    return _dense_split(R, scale, rep.trusted)
+
+
+def _dense_ladder(rep, ap, am, num):
+    abs_ap, abs_am, abs_num = np.abs(ap), np.abs(am), np.abs(num)
+    phi = [phi_closed(rep.family, rep.params, n) for n in range(rep.dim + 1)]
+    steps = np.diag([phi[n + 1] - phi[n] for n in range(rep.dim)])
+    step_scale = np.diag([abs(phi[n + 1]) + abs(phi[n]) for n in range(rep.dim)])
+    checks = (
+        (num @ ap - ap @ num - ap, abs_num @ abs_ap + abs_ap @ abs_num + abs_ap),
+        (num @ am - am @ num + am, abs_num @ abs_am + abs_am @ abs_num + abs_am),
+        (am @ ap - ap @ am - steps, abs_am @ abs_ap + abs_ap @ abs_am + step_scale),
+    )
+    splits = [_dense_split(R, scale, rep.trusted) for R, scale in checks]
+    return max(s[0] for s in splits), max(s[1] for s in splits)
+
+
+def _dense_defect(rep, T):
+    block = T[:rep.trusted, :rep.trusted]
+    return float(np.abs(block - block.conj().T).max())
+
+
+def _dense_metric(rep, T, tol=1e-10):
+    """The dense find_metric: eta and residual, or the error class it raises."""
+    eta = np.empty(rep.dim)
+    eta[0] = level = 1.0
+    for n in range(rep.dim - 1):
+        sub, sup = complex(T[n + 1, n]), complex(T[n, n + 1])
+        if sub == 0 or sup == 0:
+            return DegenerateOperatorError
+        if sup.conjugate() == sub:
+            eta[n + 1] = level
+            continue
+        r_up, r_down = sup.conjugate() / sub, sup / sub.conjugate()
+        if abs(r_up - r_down) > tol * max(1.0, abs(r_up)):
+            return MetricError
+        if abs(r_up.imag) > tol * max(1.0, abs(r_up)) or r_up.real <= 0:
+            return MetricError
+        level *= r_up.real
+        if not 0.0 < level < math.inf:
+            return MetricError
+        eta[n + 1] = level
+    t = rep.trusted
+    with np.errstate(over="ignore", invalid="ignore"):
+        similar = (eta[:, None] * T) / eta[None, :]
+        gap = np.abs(similar - T.conj().T)[:t, :t]
+    residual = float(gap.max())
+    return (eta, residual) if residual <= tol else MetricError
+
+
+def _random_bands(rng, dim, offsets):
+    return _Bands.of(dim, {k: rng.normal(size=dim - abs(k)) + 1j * rng.normal(size=dim - abs(k))
+                           for k in offsets})
+
+
+class TestBandAlgebra:
+    @pytest.mark.parametrize("dim", (3, 4, 7))
+    def test_product_and_split_match_dense(self, dim):
+        rng = np.random.default_rng(dim)
+        A, B = _random_bands(rng, dim, (-1, 1)), _random_bands(rng, dim, (-2, 0, 1))
+        assert np.abs((A @ B).dense() - A.dense() @ B.dense()).max() <= 1e-15
+        assert np.array_equal((2.0 * A - B + abs(A)).dense(),
+                              2.0 * A.dense() - B.dense() + np.abs(A.dense()))
+        R, scale = _random_bands(rng, dim, (-2, 0, 2)), abs(_random_bands(rng, dim, (-2, 0, 2)))
+        for trusted in range(2, dim):
+            assert _split_residual(R, scale, trusted) == _dense_split(
+                R.dense(), scale.dense().real, trusted)
+
+
+GATE_GRID = [
+    *((family, q, None) for family in ONE_PARAM for q in (0.9, 1.0, 1.1)),
+    *((family, q, p) for family in TWO_PARAM for q in (0.9, 1.0, 1.1) for p in (0.9, 1.1)),
+]
+
+
+class TestDenseEquivalence:
+    @pytest.mark.parametrize("family,q,p", GATE_GRID)
+    def test_banded_matches_dense(self, family, q, p):
+        for dim in (3, 4, 30, 100, 300):
+            rep = build_rep(family, DeformationParams(q=q, p=p), dim)
+            X, P, ap, am, num = rep.X, rep.P, rep.a_plus, rep.a_minus, rep.num
+            pairs = (
+                (verify_heisenberg(rep), _dense_heisenberg(rep, X, P)),
+                (verify_gh_relation(rep), _dense_gh_relation(rep, ap, am)),
+                (verify_ladder(rep), _dense_ladder(rep, ap, am, num)),
+            )
+            for report, (residual, boundary) in pairs:
+                assert abs(report.residual - residual) <= 1e-15, (dim, report)
+                assert abs(report.boundary - boundary) <= 1e-15, (dim, report)
+            for target, T in (("X", X), ("P", P)):
+                assert hermiticity_defect(rep, target) == _dense_defect(rep, T)
+                expected = _dense_metric(rep, T)
+                if isinstance(expected, tuple):
+                    metric = find_metric(rep, target)
+                    assert np.array_equal(metric.eta, expected[0])
+                    assert metric.residual == expected[1]
+                else:
+                    with pytest.raises(expected):
+                        find_metric(rep, target)
+
+    @pytest.mark.parametrize("family,q,p", [("A", 1.1, None), ("Ct", 0.9, 1.1)])
+    @pytest.mark.parametrize("dim", (3, 4, 30))
+    def test_corrupted_phi_matches_dense(self, family, q, p, dim):
+        # a phi and an X off the algebra leave O(1) residuals on every band,
+        # so the split into trusted block and boundary is exercised entry by entry
+        params = DeformationParams(q=q, p=p)
+        rep = build_rep(family, params, dim,
+                        phi=lambda n: phi_closed(family, params, n) * (1 + 0.3 * math.sin(n)))
+        rep = dataclasses.replace(rep, x_sup=rep.x_sup * (1 + 0.3 * np.cos(np.arange(dim - 1))))
+        X, P, ap, am, num = rep.X, rep.P, rep.a_plus, rep.a_minus, rep.num
+        pairs = (
+            (verify_heisenberg(rep), _dense_heisenberg(rep, X, P)),
+            (verify_gh_relation(rep), _dense_gh_relation(rep, ap, am)),
+            (verify_ladder(rep), _dense_ladder(rep, ap, am, num)),
+        )
+        for report, (residual, boundary) in pairs:
+            assert report.residual > 1e-3
+            assert report.residual == pytest.approx(residual, rel=1e-14, abs=1e-15)
+            assert report.boundary == pytest.approx(boundary, rel=1e-14, abs=1e-15)

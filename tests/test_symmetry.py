@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import warnings
 
@@ -219,6 +220,8 @@ class TestFindMetric:
 
     def test_degenerate_operator_rejected(self):
         rep = build_rep("A", 1.1, 8)
-        rep.X[1, 0] = 0.0  # sever one ladder link
+        severed = rep.x_sub.copy()
+        severed[0] = 0.0  # sever the ladder link X[1, 0]
+        rep = dataclasses.replace(rep, x_sub=severed)
         with pytest.raises(DegenerateOperatorError):
             find_metric(rep, "X")
