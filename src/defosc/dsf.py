@@ -217,6 +217,9 @@ def bracket_sym(x: int, q: float | complex) -> float | complex:
 # g, h, G, H, the closed-form phi and the ratio exponents all derive from it.
 _EXPONENTS = {"A": (1, 1), "B": (-2, -2), "C": (-2, 1), "D": (1, -2)}
 
+_MIN_NORMAL = 2.0**-1022  # smallest normal double; phi_closed rejects smaller phi(n >= 1)
+_INF = float("inf")
+
 
 def _phi_power_base(
     letter: str, x: float | complex, n: int, p: float | complex = 1.0
@@ -226,7 +229,9 @@ def _phi_power_base(
     phi(n) = 2 x**(a n + b) [n]_x (1 + x**(1-n)) / ((1 + x**(2n-2)) (1 + x**(2n)) p)
     with (a, b) = (1 - e_f - e_k, e_f - 1).  Supports complex x (used by the
     symmetrized forms); raises PoleError when a denominator vanishes on the
-    unit circle and DomainError when phi(n) leaves the double-precision range.
+    unit circle and DomainError when phi(n) overflows.  At a real base a
+    value that may have lost range on the way is recomputed by _phi_rescaled;
+    a true underflow returns 0.0 or a subnormal, which phi_closed rejects.
     """
     if n == 0:
         return 0j if isinstance(x, complex) else 0.0
@@ -234,18 +239,41 @@ def _phi_power_base(
         return n / p
     ef, ek = _EXPONENTS[letter]
     a, b = 1 - ef - ek, ef - 1
+    real = not isinstance(x, complex)
     try:
         d1 = 1.0 + x ** (2 * n - 2)
         d2 = 1.0 + x ** (2 * n)
-        if isinstance(x, complex) and min(abs(d1), abs(d2)) < POLE_TOLERANCE:
+        if not real and min(abs(d1), abs(d2)) < POLE_TOLERANCE:
             raise PoleError(n, cmath.phase(x))
         qbr = (1.0 - x**n) / (1.0 - x)
-        value = 2.0 * x ** (a * n + b) * qbr * (1.0 + x ** (1 - n)) / (d1 * d2) / p
+        lead = x ** (a * n + b)
+        value = 2.0 * lead * qbr * (1.0 + x ** (1 - n)) / (d1 * d2) / p
     except OverflowError:
-        value = float("inf")
-    if not cmath.isfinite(value) or value == 0 and not isinstance(x, complex):
+        lead = value = _INF
+    if real:
+        if lead >= _MIN_NORMAL and _MIN_NORMAL <= value < _INF:
+            return value
+        value = _phi_rescaled(a, b, x, n, p)  # a power left the normal range on the way
+    if not cmath.isfinite(value):
         raise DomainError(f"phi({n}) leaves the double-precision range at base {x!r}")
     return value
+
+
+def _phi_rescaled(a: int, b: int, x: float, n: int, p: float) -> float:
+    """The closed form of _phi_power_base at a real base x, rescaled.
+
+    With s = min(x, 1/x) every power s**m below lies in (0, 1], and the
+    dominant power of x of every factor collects in the one power x**e, so
+    no intermediate leaves the double range unless phi(n) itself does.
+    """
+    s = min(x, 1.0 / x)
+    e = (a - 1) * n + b + 1 if x < 1 else (a - 3) * n + b + 2
+    rest = (2.0 * (1.0 - s**n) / abs(x - 1.0) * (1.0 + s ** (n - 1))
+            / ((1.0 + s ** (2 * n - 2)) * (1.0 + s ** (2 * n))))
+    try:
+        return rest * x**e / p
+    except OverflowError:
+        return _INF
 
 
 def phi_closed(family: FamilyId | str, params: DeformationParams | float, n: int) -> float:
@@ -253,7 +281,8 @@ def phi_closed(family: FamilyId | str, params: DeformationParams | float, n: int
 
     One-parameter families evaluate at base q; two-parameter families at
     Q = q/p with an overall 1/p prefactor.  phi(0) = 0 for every family.
-    Raises DomainError naming n when phi(n) leaves the double-precision range.
+    Raises DomainError naming n when phi(n) leaves the double-precision range:
+    it overflows, or phi(n >= 1) falls below the smallest normal double.
     """
     family = FamilyId.parse(family)
     params = _as_params(params)
@@ -264,7 +293,11 @@ def phi_closed(family: FamilyId | str, params: DeformationParams | float, n: int
             "phi_closed covers the printed families (c0 = d0 = 1); reconstruct "
             "general solutions with phi_from_gh"
         )
-    return _phi_power_base(family.tag.letter, params.power_base, n, params.p or 1.0)
+    x = params.power_base
+    value = _phi_power_base(family.tag.letter, x, n, params.p or 1.0)
+    if value < _MIN_NORMAL and n:  # phi > 0 at real q, p > 0
+        raise DomainError(f"phi({n}) leaves the double-precision range at base {x!r}")
+    return value
 
 
 def phi_from_gh(G: Callable[[int], float], H: Callable[[int], float], n: int) -> float:

@@ -127,35 +127,41 @@ class FockRep:
         """Size of the leading block on which quadratic identities are exact."""
         return self.dim - 1
 
-    def _bands(self, name: str) -> _Bands:
-        diagonals = {
-            "a_plus": {-1: self.ladder},
-            "a_minus": {1: self.ladder},
-            "num": {0: np.arange(self.dim, dtype=float)},
-            "X": {-1: self.x_sub, 1: self.x_sup},
-            "P": {-1: self.p_sub, 1: self.p_sup},
-        }[name]
-        return _Bands.of(self.dim, diagonals)
+    @property
+    def _a_plus_bands(self) -> _Bands:
+        return _Bands.of(self.dim, {-1: self.ladder})
+
+    @property
+    def _a_minus_bands(self) -> _Bands:
+        return _Bands.of(self.dim, {1: self.ladder})
+
+    @property
+    def _x_bands(self) -> _Bands:
+        return _Bands.of(self.dim, {-1: self.x_sub, 1: self.x_sup})
+
+    @property
+    def _p_bands(self) -> _Bands:
+        return _Bands.of(self.dim, {-1: self.p_sub, 1: self.p_sup})
 
     @property
     def a_plus(self) -> np.ndarray:
-        return self._bands("a_plus").dense()
+        return self._a_plus_bands.dense()
 
     @property
     def a_minus(self) -> np.ndarray:
-        return self._bands("a_minus").dense()
+        return self._a_minus_bands.dense()
 
     @property
     def num(self) -> np.ndarray:
-        return self._bands("num").dense()
+        return np.diag(np.arange(self.dim)).astype(complex)
 
     @property
     def X(self) -> np.ndarray:
-        return self._bands("X").dense()
+        return self._x_bands.dense()
 
     @property
     def P(self) -> np.ndarray:
-        return self._bands("P").dense()
+        return self._p_bands.dense()
 
 
 @dataclass(frozen=True)
@@ -259,7 +265,7 @@ def verify_heisenberg(rep: FockRep, tol: float = 1e-10) -> ResidualReport:
     """Scaled residual of p X P - q P X - i*hbar on the trusted block."""
     p_eff = rep.params.p if rep.params.two_parameter else 1.0
     q = rep.params.q
-    X, P, eye = rep._bands("X"), rep._bands("P"), _eye(rep.dim)
+    X, P, eye = rep._x_bands, rep._p_bands, _eye(rep.dim)
     R = p_eff * (X @ P) - q * (P @ X) - 1j * HBAR * eye
     absX, absP = abs(X), abs(P)
     scale = abs(p_eff) * (absX @ absP) + abs(q) * (absP @ absX) + eye
@@ -278,7 +284,7 @@ def verify_gh_relation(rep: FockRep, gh: GHPair | None = None, tol: float = 1e-1
     levels = range(rep.dim)
     Hd = _Bands({0: _level_values(gh.H, "H", levels)})
     Gd = _Bands({0: _level_values(gh.G, "G", levels)})
-    ap, am, eye = rep._bands("a_plus"), rep._bands("a_minus"), _eye(rep.dim)
+    ap, am, eye = rep._a_plus_bands, rep._a_minus_bands, _eye(rep.dim)
     raise_then_lower = am @ ap
     lower_then_raise = ap @ am
     R = Hd @ raise_then_lower - Gd @ lower_then_raise - eye
@@ -293,7 +299,8 @@ def verify_ladder(rep: FockRep, tol: float = 1e-10) -> ResidualReport:
     The expected commutator diagonal is recomputed from the family's closed
     form, so representations built from a corrupted phi fail here too.
     """
-    ap, am, num = rep._bands("a_plus"), rep._bands("a_minus"), rep._bands("num")
+    ap, am = rep._a_plus_bands, rep._a_minus_bands
+    num = _Bands({0: np.arange(rep.dim, dtype=float)})
     abs_ap, abs_am, abs_num = abs(ap), abs(am), abs(num)
     phi_vals = np.array([phi_closed(rep.family, rep.params, n) for n in range(rep.dim + 1)])
     steps = _Bands({0: phi_vals[1:] - phi_vals[:-1]})

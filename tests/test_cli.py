@@ -27,6 +27,13 @@ class TestDsfCommand:
         last = out.splitlines()[-1].split(",")
         assert float(last[1]) == pytest.approx(0.2, rel=1e-15)
 
+    def test_denominator_overflow_is_not_an_error(self, capsys):
+        # (1 + x**(2n-2)) (1 + x**(2n)) overflows from n = 439; phi(500) is about 1e-88
+        code, out, err = run(capsys, "dsf", "--family", "C", "--q", "1.5", "--n-max", "500")
+        assert (code, err) == (0, "")
+        last = float(out.splitlines()[-1].split(",")[1])
+        assert last == phi_closed("C", 1.5, 500) and 0.0 < last < 1e-80
+
     def test_fig1_dataset_shape(self, capsys):
         code, out, _ = run(capsys, "dsf", "--fig1")
         assert code == 0

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -126,11 +127,27 @@ class TestPhiClosed:
 
     @pytest.mark.parametrize("family,q,n", [
         ("A", 0.5, 3000), ("A", 0.5, 600), ("B", 2.0, 3000),
-        ("A", 1.5, 439), ("B", 0.5, 216),  # underflow to 0.0 on a real base
+        ("A", 1.5, 439), ("A", 1.5, 600),  # below the smallest normal double, then 0.0
     ])
     def test_out_of_range_names_the_level(self, family, q, n):
         with pytest.raises(DomainError, match=rf"phi\({n}\) leaves the double-precision range"):
             phi_closed(family, q, n)
+
+    @pytest.mark.parametrize("family,q,n", [
+        # (1 + x**(2n-2)) (1 + x**(2n)) overflows from n = 439
+        ("A", "3/2", 438), ("C", "3/2", 439), ("D", "3/2", 439),
+        ("C", "3/2", 900),  # the numerator overflows
+        ("B", "1/2", 216),  # x**(5n-3) underflows to 0.0
+        ("B", "3/5", 285),  # x**(5n-3) is subnormal
+    ])
+    def test_intermediate_out_of_range_keeps_a_normal_phi(self, family, q, n):
+        # phi(n) is a normal double although a power on the way is not; the
+        # exact rational closed form is the oracle
+        a, b = {"A": (-1, 0), "B": (5, -3), "C": (2, -3), "D": (2, 0)}[family]
+        x = Fraction(q)
+        exact = (2 * x ** (a * n + b) * (1 - x**n) / (1 - x) * (1 + x ** (1 - n))
+                 / ((1 + x ** (2 * n - 2)) * (1 + x ** (2 * n))))
+        assert rel_err(phi_closed(family, float(x), n), float(exact)) <= 1e-13
 
 
 class TestPhiFromGH:

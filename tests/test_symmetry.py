@@ -16,6 +16,7 @@ from defosc import (
     build_rep,
     find_metric,
     hermiticity_defect,
+    phi_closed,
     phi_symmetrized,
     phi_symmetrized_qp,
     symmetrized_routes,
@@ -116,6 +117,13 @@ class TestTwoParameterSymmetrization:
     def test_real_inputs_give_floats(self):
         value = phi_symmetrized_qp("Bt", 1.2, 1.1, 5)
         assert isinstance(value, float)
+
+    def test_underflowing_term_is_harmless(self):
+        # at base q/p = 2 the forward term underflows to 0; the swapped term,
+        # phi at base p/q = 1/2 divided by q, is about 4e180
+        swapped = phi_closed("At", DeformationParams(q=1.0, p=2.0), 300)
+        assert phi_symmetrized_qp("At", 2.0, 1.0, 300) == 0.5 * swapped
+        assert SymmetrizedDSF("At", DeformationParams(q=2.0, p=1.0))(300) == 0.5 * swapped
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):
