@@ -7,6 +7,8 @@ energy spectra, and solve accidental-degeneracy equations for the deformation
 parameter.
 """
 
+from importlib import import_module as _import_module
+
 from .dsf import (
     DeformationParams,
     FamilyId,
@@ -37,15 +39,6 @@ from .families import (
     shift_power,
     verify_ratio_recursions,
 )
-from .fock import (
-    HBAR,
-    FockRep,
-    ResidualReport,
-    build_rep,
-    verify_gh_relation,
-    verify_heisenberg,
-    verify_ladder,
-)
 from .spectra import (
     DegeneracyRoot,
     SpectrumReport,
@@ -55,15 +48,46 @@ from .spectra import (
     ground_state_table,
     spectrum,
 )
-from .symmetry import (
-    MetricDiagonal,
-    SymmetrizedDSF,
-    find_metric,
-    hermiticity_defect,
-    phi_symmetrized,
-    phi_symmetrized_qp,
-    symmetrized_routes,
-)
+
+# `fock` and `symmetry` import numpy.  Their names, and the two submodules
+# themselves, are resolved on first access, so that `import defosc` and the
+# scalar path (dsf, families, spectra) stay numpy-free.  A resolved name is
+# stored as a plain module attribute: later reads cost nothing, and code that
+# rebinds module attributes (tracers, monkeypatching) finds it.
+_LAZY = {
+    "HBAR": "fock",
+    "FockRep": "fock",
+    "ResidualReport": "fock",
+    "build_rep": "fock",
+    "verify_gh_relation": "fock",
+    "verify_heisenberg": "fock",
+    "verify_ladder": "fock",
+    "MetricDiagonal": "symmetry",
+    "SymmetrizedDSF": "symmetry",
+    "find_metric": "symmetry",
+    "hermiticity_defect": "symmetry",
+    "phi_symmetrized": "symmetry",
+    "phi_symmetrized_qp": "symmetry",
+    "symmetrized_routes": "symmetry",
+}
+_SUBMODULES = frozenset(_LAZY.values())
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:  # importing a submodule binds it on the package
+        return _import_module(f".{name}", __name__)
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(_import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY) | _SUBMODULES)
+
 
 __version__ = "0.1.0"
 

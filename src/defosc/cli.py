@@ -9,7 +9,10 @@ verify      residuals of the defining algebra identities (JSON report)
 degeneracy  solved parameter values q* with E(n) = E(m) in a q interval
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error
-(including a value that leaves the double-precision range).
+(including a value that leaves the double-precision range, a negative
+--n-max and a NaN or non-positive verify --tol).
+Only `verify` imports the Fock layer (`fock`, `symmetry`) and with it numpy;
+the other subcommands run on the numpy-free scalar modules.
 Output is deterministic: floats are printed with 17 significant digits, CSV
 uses LF endings, JSON keys keep a fixed order.
 """
@@ -20,12 +23,10 @@ import argparse
 import json
 import sys
 
-from .dsf import DeformationParams, FamilyId, phi_closed
+from .dsf import DeformationParams, FamilyId, _check_level, phi_closed
 from .errors import DomainError
 from .families import coefficients, verify_ratio_recursions
-from .fock import build_rep, verify_gh_relation, verify_heisenberg, verify_ladder
 from .spectra import find_degeneracy, ground_state_table, spectrum
-from .symmetry import hermiticity_defect
 
 FIG1_Q = 1.015
 FIG1_N_MAX = 100
@@ -102,6 +103,7 @@ def cmd_dsf(args: argparse.Namespace) -> int:
         return 0
     family = _family(args)
     params = _params(args)
+    _check_level(args.n_max, "n_max")
     rows = [[n, phi_closed(family, params, n)] for n in range(args.n_max + 1)]
     _table_output(args, family, ["n", "phi"], rows, n_max=args.n_max)
     return 0
@@ -133,8 +135,14 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # the Fock layer needs numpy; importing it here keeps the other commands numpy-free
+    from .fock import build_rep, verify_gh_relation, verify_heisenberg, verify_ladder
+    from .symmetry import hermiticity_defect
+
     family = _family(args)
     params = _params(args)
+    if not args.tol > 0:
+        raise DomainError(f"tol must be positive, got {args.tol!r}")
     phi = None
     if args.perturb:
         eps = args.perturb

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dsf import DeformationParams, FamilyId, _as_params, phi_closed
+from .dsf import DeformationParams, FamilyId, _as_params, _check_level, phi_closed
 from .errors import DomainError
 
 __all__ = [
@@ -57,6 +57,7 @@ def spectrum(family: FamilyId | str, params: DeformationParams | float, n_max: i
     """Energies E(0..n_max) collected into a report."""
     family = FamilyId.parse(family)
     params = _as_params(params)
+    n_max = _check_level(n_max, "n_max")
     rows = tuple((n, energy(family, params, n)) for n in range(n_max + 1))
     return SpectrumReport(family=family, params=params, energies=rows)
 

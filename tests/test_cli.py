@@ -232,6 +232,26 @@ class TestErrorPaths:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "double-precision range" in lines[0]
 
+    @pytest.mark.parametrize("tol, shown", [("nan", "nan"), ("0", "0.0"), ("-1", "-1.0")])
+    def test_bad_verify_tolerance_is_domain_error(self, capsys, tol, shown):
+        code, out, err = run(capsys, "verify", "--family", "A", "--q", "1.1", "--tol", tol)
+        assert (code, out) == (2, "")
+        assert err == f"error: tol must be positive, got {shown}\n"
+
+    @pytest.mark.parametrize("command", ["dsf", "spectrum"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_negative_n_max_is_domain_error(self, capsys, command, fmt):
+        code, out, err = run(capsys, command, "--family", "A", "--q", "1.1", "--n-max", "-1",
+                             "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == "error: n_max must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("command, row", [("dsf", "0,0"), ("spectrum", "0,0.41135335252982314")])
+    def test_zero_n_max_is_one_row(self, capsys, command, row):
+        code, out, _ = run(capsys, command, "--family", "A", "--q", "1.1", "--n-max", "0")
+        assert code == 0
+        assert out.splitlines()[1:] == [row]
+
     def test_bad_q_range_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["degeneracy", "--family", "A", "--n", "1", "--m", "0",

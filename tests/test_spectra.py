@@ -44,6 +44,11 @@ class TestEnergy:
         for n, value in report.energies:
             assert value == energy("A", 1.015, n)
 
+    def test_spectrum_level_range(self):
+        assert spectrum("A", 1.015, 0).energies == ((0, energy("A", 1.015, 0)),)
+        with pytest.raises(DomainError, match="n_max must be >= 0, got -1"):
+            spectrum("A", 1.015, -1)
+
     def test_matches_fock_bilinear_diagonal(self):
         # E(n) must be half the sum of adjacent a+ a- diagonal entries
         q = 1.02
