@@ -40,9 +40,17 @@ __all__ = [
 #: |1 + x**(2n-2)| or |1 + x**(2n)| below this counts as a pole (unit circle).
 POLE_TOLERANCE = 1e-8
 
+_INF = float("inf")
+
 
 class FamilyTag(Enum):
-    """Coefficient-family label: A-D one-parameter, At-Dt two-parameter."""
+    """Coefficient-family label: A-D one-parameter, At-Dt two-parameter.
+
+    Each member carries three plain attributes: ``letter``, the base letter
+    A-D shared by a one-parameter family and its tilde twin; ``two_parameter``;
+    and ``index``, the position 1-4 of the family's closed-form structure
+    function.
+    """
 
     A = "A"
     B = "B"
@@ -53,31 +61,51 @@ class FamilyTag(Enum):
     CT = "Ct"
     DT = "Dt"
 
-    @property
-    def two_parameter(self) -> bool:
-        return self.name.endswith("T")
-
-    @property
-    def letter(self) -> str:
-        """Base letter A-D shared by a one-parameter family and its tilde twin."""
-        return self.name[0]
-
-    @property
-    def index(self) -> int:
-        """Position 1-4 of the family's closed-form structure function."""
-        return "ABCD".index(self.letter) + 1
+    def __init__(self, value: str):
+        self.letter = value[0]
+        self.two_parameter = value.endswith("t")
+        self.index = "ABCD".index(self.letter) + 1
 
     @classmethod
     def parse(cls, value: "FamilyTag | str") -> "FamilyTag":
         if isinstance(value, FamilyTag):
             return value
-        # a combining tilde or a trailing ~ both mean the two-parameter twin
-        text = unicodedata.normalize("NFD", str(value).strip())
-        folded = text.replace("̃", "t").replace("~", "t").casefold()
-        for tag in cls:
-            if folded in (tag.name.casefold(), tag.value.casefold()):
+        if type(value) is str:
+            tag = _SPELLINGS.get(value)
+            if tag is not None:
                 return tag
-        raise DomainError(f"unknown family tag {value!r}")
+        tag = _match_spelling(value)
+        if tag is None:
+            raise DomainError(f"unknown family tag {value!r}")
+        return tag
+
+
+def _match_spelling(value: object) -> FamilyTag | None:
+    """The tag a spelling names under the normalise/casefold rule, or None."""
+    # a combining tilde or a trailing ~ both mean the two-parameter twin
+    text = unicodedata.normalize("NFD", str(value).strip())
+    folded = text.replace("\u0303", "t").replace("~", "t").casefold()
+    for tag in FamilyTag:
+        if folded in (tag.name.casefold(), tag.value.casefold()):
+            return tag
+    return None
+
+
+def _common_spellings(tag: FamilyTag) -> set[str]:
+    """Name, value, X~, X + combining tilde and NFC X-tilde, in lower and upper case."""
+    spellings = {tag.name, tag.value}
+    if tag.two_parameter:
+        tilde = tag.letter + "\u0303"
+        spellings |= {tag.letter + "~", tilde, unicodedata.normalize("NFC", tilde)}
+    return spellings | {s.lower() for s in spellings} | {s.upper() for s in spellings}
+
+
+# spelling -> tag, filled by the rule itself so the lookup cannot disagree with it
+_SPELLINGS = {
+    spelling: _match_spelling(spelling)
+    for tag in FamilyTag
+    for spelling in _common_spellings(tag)
+}
 
 
 @dataclass(frozen=True)
@@ -134,14 +162,18 @@ class DeformationParams:
 
     def require_real_positive(self, context: str = "this operation") -> None:
         """Reject complex or nonpositive parameters (core-family domain)."""
-        for name, value in (("q", self.q), ("p", self.p)):
+        q, p = self.q, self.p
+        if (type(q) is float and 0 < q < _INF
+                and (p is None or type(p) is float and 0 < p < _INF)):
+            return
+        for name, value in (("q", q), ("p", p)):
             if value is None:
                 continue
             if isinstance(value, complex):
                 if value.imag != 0:
                     raise DomainError(f"{context} requires real {name}, got {value!r}")
                 value = value.real
-            if not 0 < value < float("inf"):
+            if not 0 < value < _INF:
                 raise DomainError(f"{context} requires finite {name} > 0, got {value!r}")
 
 
@@ -162,6 +194,8 @@ def _check_family_params(family: FamilyId, params: DeformationParams, context: s
 
 
 def _check_level(n: int, name: str = "level") -> int:
+    if type(n) is int and n >= 0:
+        return n
     if isinstance(n, bool) or not isinstance(n, Integral):
         raise DomainError(f"{name} must be an integer, got {n!r}")
     if n < 0:
@@ -218,7 +252,6 @@ def bracket_sym(x: int, q: float | complex) -> float | complex:
 _EXPONENTS = {"A": (1, 1), "B": (-2, -2), "C": (-2, 1), "D": (1, -2)}
 
 _MIN_NORMAL = 2.0**-1022  # smallest normal double; phi_closed rejects smaller phi(n >= 1)
-_INF = float("inf")
 
 
 def _phi_power_base(
@@ -309,19 +342,31 @@ def phi_from_gh(G: Callable[[int], float], H: Callable[[int], float], n: int) ->
         phi(k+1) = (1 + G(k) phi(k)) / H(k).
 
     Reads H(0..n-1) and G(1..n-1).  Raises SingularRecipeError naming k when
-    H(k) = 0, and DomainError naming the level when phi leaves the
-    double-precision range.
+    H(k) = 0, and DomainError naming the level when phi, or G(k) or H(k)
+    with an OverflowError, leaves the double-precision range.
     """
     _check_level(n)
     phi = 0.0
-    for k in range(n):
-        h = H(k)
-        if h == 0:
-            raise SingularRecipeError("H", k)
-        phi = (1.0 + G(k) * phi) / h if k else 1.0 / h  # G(0) meets phi(0) = 0
-        if not cmath.isfinite(phi):
-            raise DomainError(f"recipe phi({k + 1}) leaves the double-precision range")
+    try:
+        for k in range(n):
+            h = H(k)
+            if h == 0:
+                raise SingularRecipeError("H", k)
+            phi = (1.0 + G(k) * phi) / h if k else 1.0 / h  # G(0) meets phi(0) = 0
+            if not cmath.isfinite(phi):
+                raise DomainError(f"recipe phi({k + 1}) leaves the double-precision range")
+    except OverflowError:
+        which = "H" if _overflows(H, k) else "G"
+        raise DomainError(f"{which}({k}) leaves the double-precision range") from None
     return phi
+
+
+def _overflows(fn: Callable[[int], float], k: int) -> bool:
+    try:
+        fn(k)
+    except OverflowError:
+        return True
+    return False
 
 
 def phi_ratio_check(

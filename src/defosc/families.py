@@ -12,7 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .dsf import _EXPONENTS, DeformationParams, FamilyId, _as_params, _check_family_params
+from .dsf import (
+    _EXPONENTS, DeformationParams, FamilyId, _as_params, _check_family_params, _check_level,
+)
 from .errors import DomainError
 
 __all__ = [
@@ -176,6 +178,7 @@ def verify_ratio_recursions(
     """
     if n_max < 2:
         raise DomainError(f"n_max must be >= 2, got {n_max}")
+    _check_level(n_max, "n_max")  # after the bound, so a small int keeps that message
     params = _as_params(params)
     x = params.power_base
     worst = 0.0

@@ -7,6 +7,7 @@ located by a sign-change scan plus bisection in q.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .dsf import DeformationParams, FamilyId, _as_params, _check_level, phi_closed
@@ -119,10 +120,14 @@ def find_degeneracy(
 
     Parameters
     ----------
+    n, m
+        The two levels, nonnegative integers.
     search
-        (q_lo, q_hi) with 0 < q_lo < q_hi and neither endpoint equal to 1.
+        (q_lo, q_hi) with 0 < q_lo < q_hi < inf and neither endpoint equal to 1.
     tol
         Final bracket width in q; must be positive.
+    grid
+        Number of scan points per segment, an integer >= 2.
     """
     family = FamilyId.parse(family)
     q_lo, q_hi = search
@@ -130,10 +135,15 @@ def find_degeneracy(
         raise DomainError(f"search interval must satisfy 0 < q_lo < q_hi, got {search!r}")
     if q_lo == 1.0 or q_hi == 1.0:
         raise DomainError("search endpoints must differ from the undeformed point q = 1")
+    if q_hi == math.inf:
+        raise DomainError(f"search endpoints must be finite, got {search!r}")
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol!r}")
     if grid < 2:
         raise DomainError(f"grid must have at least 2 points, got {grid}")
+    _check_level(grid, "grid")  # after the bound, so a small int keeps that message
+    _check_level(n)
+    _check_level(m)
 
     def f(q: float) -> float:
         return degeneracy_equation(family, q, n, m)

@@ -252,6 +252,12 @@ class TestErrorPaths:
         assert code == 0
         assert out.splitlines()[1:] == [row]
 
+    def test_infinite_q_range_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "degeneracy", "--family", "A", "--n", "10", "--m", "0",
+                             "--q-range", "1.001:inf")
+        assert (code, out) == (2, "")
+        assert err == "error: search endpoints must be finite, got (1.001, inf)\n"
+
     def test_bad_q_range_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["degeneracy", "--family", "A", "--n", "1", "--m", "0",

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,11 +13,14 @@ from defosc import (
     FamilyTag,
     SingularRecipeError,
     StructureFunction,
+    coefficients,
+    energy,
     gh_pair,
     phi_closed,
     phi_from_gh,
     phi_ratio_check,
 )
+from defosc import dsf
 
 from conftest import ALL_FAMILIES, ONE_PARAM, TWO_PARAM, assert_close, rel_err
 
@@ -34,6 +38,8 @@ class TestFamilyParsing:
     @pytest.mark.parametrize("text,expected", [
         ("A", "A"), ("b", "B"), ("At", "At"), ("a~", "At"),
         ("Ã", "At"), ("C̃", "Ct"), ("dt", "Dt"),
+        # around the spelling table: a miss, upper case, and each tilde form
+        (" at ", "At"), ("AT", "At"), ("A~", "At"), ("A\u0303", "At"), ("B\u0303", "Bt"),
     ])
     def test_aliases(self, text, expected):
         assert FamilyTag.parse(text).value == expected
@@ -41,6 +47,42 @@ class TestFamilyParsing:
     def test_unknown_tag(self):
         with pytest.raises(DomainError):
             FamilyTag.parse("E")
+
+    @pytest.mark.parametrize("value", [[1], None])
+    def test_unknown_non_string(self, value):
+        # an unhashable value must not reach the spelling table
+        with pytest.raises(DomainError, match="unknown family tag"):
+            FamilyTag.parse(value)
+
+    def test_spelling_table_agrees_with_the_rule(self):
+        assert {tag.value for tag in dsf._SPELLINGS.values()} == {t.value for t in FamilyTag}
+        for spelling, tag in dsf._SPELLINGS.items():
+            assert dsf._match_spelling(spelling) is tag
+            assert FamilyTag.parse(spelling) is tag
+
+    def test_canonical_spellings_skip_normalisation(self, monkeypatch):
+        calls = []
+        normalize = dsf.unicodedata.normalize
+
+        def counting(form, text):
+            calls.append(text)
+            return normalize(form, text)
+
+        monkeypatch.setattr(dsf.unicodedata, "normalize", counting)
+        for tag in FamilyTag:
+            for spelling in (tag.name, tag.value, tag.value.lower()):
+                assert FamilyTag.parse(spelling) is tag
+        assert calls == []
+        FamilyTag.parse(" at ")  # a miss takes the rule, which the counter sees
+        assert calls == ["at"]
+
+    @pytest.mark.parametrize("tag,letter,two,index", [
+        (FamilyTag.A, "A", False, 1), (FamilyTag.D, "D", False, 4),
+        (FamilyTag.BT, "B", True, 2), (FamilyTag.CT, "C", True, 3),
+    ])
+    def test_tag_attributes_are_plain(self, tag, letter, two, index):
+        assert {k: vars(tag)[k] for k in ("letter", "two_parameter", "index")} == {
+            "letter": letter, "two_parameter": two, "index": index}
 
     def test_family_id_defaults(self):
         fam = FamilyId.parse("B")
@@ -67,6 +109,47 @@ class TestDeformationParams:
     def test_core_domain_rejects_nonpositive(self, q):
         with pytest.raises(DomainError):
             phi_closed("A", q, 3)
+
+
+# every public entry that validates (family, params): value and context word
+PARAM_CHECKS = [
+    (lambda fam, params: phi_closed(fam, params, 3), "phi_closed"),
+    (lambda fam, params: energy(fam, params, 3), "phi_closed"),
+    (lambda fam, params: coefficients(fam, params).f(3), "coefficients"),
+    (lambda fam, params: gh_pair(fam, params).G(3), "gh_pair"),
+]
+
+
+class TestParameterChecks:
+    """q and p around the float fast path of require_real_positive."""
+
+    @pytest.mark.parametrize("bad,shown", [
+        (math.nan, "nan"), (math.inf, "inf"), (-1.0, "-1.0"), (0.0, "0.0"),
+    ])
+    @pytest.mark.parametrize("call,context", PARAM_CHECKS)
+    def test_rejects_non_finite_or_nonpositive(self, call, context, bad, shown):
+        with pytest.raises(DomainError, match=rf"^{context} requires finite q > 0, got {shown}$"):
+            call("B", bad)
+        if bad == 0.0:
+            with pytest.raises(DomainError, match=r"^p = 0 is not admissible"):
+                call("Bt", DeformationParams(q=1.1, p=bad))
+        else:
+            with pytest.raises(DomainError, match=rf"^{context} requires finite p > 0, got {shown}$"):
+                call("Bt", DeformationParams(q=1.1, p=bad))
+
+    @pytest.mark.parametrize("call,context", PARAM_CHECKS)
+    def test_rejects_complex(self, call, context):
+        with pytest.raises(DomainError, match=rf"^{context} requires real q, got 1j$"):
+            call("B", 1j)
+        with pytest.raises(DomainError, match=rf"^{context} requires real p, got 1j$"):
+            call("Bt", DeformationParams(q=1.1, p=1j))
+
+    @pytest.mark.parametrize("call,context", PARAM_CHECKS)
+    def test_float_subclass_takes_the_full_check(self, call, context):
+        # np.float64 is not type float: it passes the full check with the same value
+        assert call("B", np.float64(1.1)) == call("B", 1.1)
+        two = DeformationParams(q=np.float64(1.2), p=np.float64(1.1))
+        assert call("Bt", two) == call("Bt", DeformationParams(q=1.2, p=1.1))
 
 
 class TestPhiClosed:
@@ -117,6 +200,19 @@ class TestPhiClosed:
     def test_rejects_negative_level(self):
         with pytest.raises(DomainError):
             phi_closed("A", 1.1, -2)
+
+    @pytest.mark.parametrize("n,message", [
+        (True, "level must be an integer, got True"),
+        (-1, "level must be >= 0, got -1"),
+        (np.int8(-1), "level must be >= 0, got -1"),
+        (3.0, "level must be an integer, got 3.0"),
+    ])
+    def test_level_refusals_around_the_int_fast_path(self, n, message):
+        with pytest.raises(DomainError, match=rf"^{message}$"):
+            phi_closed("A", 1.1, n)
+
+    def test_numpy_integer_level(self):
+        assert phi_closed("A", 1.1, np.int64(3)) == phi_closed("A", 1.1, 3)
 
     @pytest.mark.parametrize("q", (math.inf, math.nan))
     def test_rejects_non_finite_parameters(self, q):
@@ -202,6 +298,14 @@ class TestPhiFromGH:
         pair = gh_pair("A", 0.5)
         with pytest.raises(DomainError, match=r"phi\(\d+\) leaves the double-precision range"):
             phi_from_gh(pair.G, pair.H, 1200)
+
+    def test_operator_overflow_names_the_function_and_level(self):
+        # H(n) holds x**(-2n) at base 0.5, which raises OverflowError from n = 256
+        pair = gh_pair("B", 0.5)
+        with pytest.raises(DomainError, match=r"^H\(256\) leaves the double-precision range$"):
+            phi_from_gh(pair.G, pair.H, 400)
+        with pytest.raises(DomainError, match=r"^G\(2\) leaves the double-precision range$"):
+            phi_from_gh(lambda n: 2.0 ** (600 * n), lambda n: 1.0, 5)
 
     @given(st.sampled_from(ALL_FAMILIES),
            st.floats(min_value=0.85, max_value=1.25),

@@ -188,6 +188,14 @@ class TestRatioRecursions:
         with pytest.raises(DomainError):
             verify_ratio_recursions(coefficients("A", 1.1), 1.1, 1)
 
+    @pytest.mark.parametrize("n_max,message", [
+        (2.5, "n_max must be an integer, got 2.5"),
+        (-1, "n_max must be >= 2, got -1"),
+    ])
+    def test_bad_n_max_is_domain_error(self, n_max, message):
+        with pytest.raises(DomainError, match=rf"^{message}$"):
+            verify_ratio_recursions(coefficients("A", 1.1), 1.1, n_max)
+
     @pytest.mark.parametrize("family,q,n_max", [("A", 0.5, 600), ("B", 0.5, 600), ("C", 2.0, 1200)])
     def test_out_of_range_names_the_level(self, family, q, n_max):
         with pytest.raises(DomainError, match="double-precision range at level"):

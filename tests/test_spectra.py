@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,23 @@ class TestFindDegeneracy:
             find_degeneracy("A", 10, 0, (1.0, 1.2), 1e-6)
         with pytest.raises(DomainError):
             find_degeneracy("A", 10, 0, (1.001, 1.5), -1e-6)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"n": 2.0}, "level must be an integer, got 2.0"),
+        ({"m": -1}, "level must be >= 0, got -1"),
+        ({"n": True}, "level must be an integer, got True"),
+        ({"grid": 2.5}, "grid must be an integer, got 2.5"),
+        ({"grid": 1}, "grid must have at least 2 points, got 1"),
+        ({"search": (1.001, math.inf)}, r"search endpoints must be finite, got \(1.001, inf\)"),
+    ])
+    def test_bad_arguments_are_refused_before_the_scan(self, kwargs, message):
+        args = {"n": 10, "m": 0, "search": (1.001, 1.5), "grid": 400} | kwargs
+        with pytest.raises(DomainError, match=rf"^{message}$"):
+            find_degeneracy("A", args["n"], args["m"], args["search"], 1e-6, grid=args["grid"])
+        if "search" not in kwargs:  # inside the guard band nothing is scanned at all
+            with pytest.raises(DomainError, match=rf"^{message}$"):
+                find_degeneracy("A", args["n"], args["m"], (0.99995, 1.00005), 1e-6,
+                                grid=args["grid"])
 
     def test_expanded_form_is_scaled_energy_difference(self):
         # the polynomial rewrite equals (E(n)-E(0)) times an explicit positive
