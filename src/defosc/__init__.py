@@ -9,66 +9,24 @@ parameter.
 
 from importlib import import_module as _import_module
 
-from .dsf import (
-    DeformationParams,
-    FamilyId,
-    FamilyTag,
-    StructureFunction,
-    bracket_pq,
-    bracket_q,
-    bracket_sym,
-    phi_closed,
-    phi_from_gh,
-    phi_ratio_check,
-)
-from .errors import (
-    DegenerateOperatorError,
-    DomainError,
-    MetricError,
-    NoMetricError,
-    PoleError,
-    SingularRecipeError,
-)
-from .families import (
-    CoefficientSet,
-    GHPair,
-    coefficients,
-    general_gh,
-    gh_pair,
-    ratio_kernel_constancy,
-    shift_power,
-    verify_ratio_recursions,
-)
-from .spectra import (
-    DegeneracyRoot,
-    SpectrumReport,
-    degeneracy_equation,
-    energy,
-    find_degeneracy,
-    ground_state_table,
-    spectrum,
-)
+from . import dsf, errors, families, spectra
+from .dsf import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .families import *  # noqa: F403
+from .spectra import *  # noqa: F403
 
 # `fock` and `symmetry` import numpy.  Their names, and the two submodules
 # themselves, are resolved on first access, so that `import defosc` and the
 # scalar path (dsf, families, spectra) stay numpy-free.  A resolved name is
 # stored as a plain module attribute: later reads cost nothing, and code that
-# rebinds module attributes (tracers, monkeypatching) finds it.
+# rebinds module attributes (tracers, monkeypatching) finds it.  This is the
+# one hand-written name list: reading the two modules' `__all__` would load
+# numpy.
 _LAZY = {
-    "HBAR": "fock",
-    "FockRep": "fock",
-    "ResidualReport": "fock",
-    "build_rep": "fock",
-    "verify_gh_relation": "fock",
-    "verify_heisenberg": "fock",
-    "verify_ladder": "fock",
-    "MetricDiagonal": "symmetry",
-    "SymmetrizedDSF": "symmetry",
-    "find_metric": "symmetry",
-    "hermiticity_defect": "symmetry",
-    "phi_symmetrized": "symmetry",
-    "phi_symmetrized_qp": "symmetry",
-    "symmetrized_routes": "symmetry",
+    **dict.fromkeys(["HBAR", "MAX_DIM", "FockRep", "ResidualReport", "build_rep",
+                     "verify_gh_relation", "verify_heisenberg", "verify_ladder"], "fock"),
+    **dict.fromkeys(["MetricDiagonal", "SymmetrizedDSF", "find_metric", "hermiticity_defect",
+                     "phi_symmetrized", "phi_symmetrized_qp", "symmetrized_routes"], "symmetry"),
 }
 _SUBMODULES = frozenset(_LAZY.values())
 
@@ -91,50 +49,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "HBAR",
-    "CoefficientSet",
-    "DeformationParams",
-    "DegenerateOperatorError",
-    "DegeneracyRoot",
-    "DomainError",
-    "FamilyId",
-    "FamilyTag",
-    "FockRep",
-    "GHPair",
-    "MetricDiagonal",
-    "MetricError",
-    "NoMetricError",
-    "PoleError",
-    "ResidualReport",
-    "SingularRecipeError",
-    "SpectrumReport",
-    "StructureFunction",
-    "SymmetrizedDSF",
-    "bracket_pq",
-    "bracket_q",
-    "bracket_sym",
-    "build_rep",
-    "coefficients",
-    "degeneracy_equation",
-    "energy",
-    "find_degeneracy",
-    "find_metric",
-    "general_gh",
-    "gh_pair",
-    "ground_state_table",
-    "hermiticity_defect",
-    "phi_closed",
-    "phi_from_gh",
-    "phi_ratio_check",
-    "phi_symmetrized",
-    "phi_symmetrized_qp",
-    "ratio_kernel_constancy",
-    "shift_power",
-    "spectrum",
-    "symmetrized_routes",
-    "verify_gh_relation",
-    "verify_heisenberg",
-    "verify_ladder",
-    "verify_ratio_recursions",
-]
+__all__ = sorted([*dsf.__all__, *errors.__all__, *families.__all__, *spectra.__all__, *_LAZY])

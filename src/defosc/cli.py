@@ -23,7 +23,7 @@ import argparse
 import json
 import sys
 
-from .dsf import DeformationParams, FamilyId, _check_level, phi_closed
+from .dsf import DeformationParams, FamilyId, _check_level, _check_tol, phi_closed
 from .errors import DomainError
 from .families import coefficients, verify_ratio_recursions
 from .spectra import find_degeneracy, ground_state_table, spectrum
@@ -79,12 +79,14 @@ def _meta(family: FamilyId | None, args: argparse.Namespace, **extra) -> dict:
 
 
 def _table_output(args: argparse.Namespace, family: FamilyId | None, header: list[str],
-                  rows: list[list], **meta_extra) -> None:
+                  rows: list[list], extra: dict | None = None, **meta_extra) -> None:
+    """Write `rows` as CSV, or as JSON {meta, columns, rows} followed by the keys of `extra`."""
     if args.output_format == "json":
         payload = {
             "meta": _meta(family, args, **meta_extra),
             "columns": header,
             "rows": [[row[0]] + [float(cell) for cell in row[1:]] for row in rows],
+            **(extra or {}),
         }
         _write(args, _json_text(payload))
     else:
@@ -113,24 +115,14 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     family = _family(args)
     params = _params(args)
     rows = spectrum(family, params, args.n_max).energies
-    ground = None
+    extra = {}
     if not params.two_parameter:
         e1, e2, e3, e4 = ground_state_table(params)
-        ground = {"E1": e1, "E2": e2, "E3": e3, "E4": e4}
-    if args.output_format == "json":
-        payload = {
-            "meta": _meta(family, args, n_max=args.n_max),
-            "columns": ["n", "E"],
-            "rows": [[n, float(e)] for n, e in rows],
-        }
-        if ground is not None:
-            payload["ground_state"] = ground
-        _write(args, _json_text(payload))
-    else:
-        _write(args, _csv(["n", "E"], rows))
-        if ground is not None:
-            note = ", ".join(f"{k}(0) = {_fmt(v)}" for k, v in ground.items())
-            print(f"ground-state closed forms: {note}", file=sys.stderr)
+        extra["ground_state"] = {"E1": e1, "E2": e2, "E3": e3, "E4": e4}
+    _table_output(args, family, ["n", "E"], rows, extra, n_max=args.n_max)
+    if extra and args.output_format == "csv":
+        note = ", ".join(f"{k}(0) = {_fmt(v)}" for k, v in extra["ground_state"].items())
+        print(f"ground-state closed forms: {note}", file=sys.stderr)
     return 0
 
 
@@ -141,8 +133,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     family = _family(args)
     params = _params(args)
-    if not args.tol > 0:
-        raise DomainError(f"tol must be positive, got {args.tol!r}")
+    _check_tol(args.tol)
     phi = None
     if args.perturb:
         eps = args.perturb
@@ -161,14 +152,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     residuals["ratio_recursions"] = recursion
     passed = all(value <= args.tol for value in residuals.values())
     report = {
-        "meta": {
-            "family": family.tag.value,
-            "q": args.q,
-            "p": args.p,
-            "dim": args.dim,
-            "trusted": rep.trusted,
-            "tol": args.tol,
-        },
+        "meta": _meta(family, args, dim=args.dim, trusted=rep.trusted, tol=args.tol),
         "residuals": residuals,
         "boundary": {check.name: check.boundary for check in checks},
         "hermiticity_defect": {
@@ -209,9 +193,8 @@ def cmd_degeneracy(args: argparse.Namespace) -> int:
         }
         _write(args, _json_text(payload))
     else:
-        rows = [[root.n, root.m, root.q_star, root.residual, root.bracket[0], root.bracket[1]]
+        rows = [[str(root.n), str(root.m), root.q_star, root.residual, *root.bracket]
                 for root in roots]
-        rows = [[str(r[0]), str(r[1])] + r[2:] for r in rows]
         _write(args, _csv(["n", "m", "q_star", "residual", "q_lo", "q_hi"], rows))
     return 0
 

@@ -203,6 +203,11 @@ def _check_level(n: int, name: str = "level") -> int:
     return int(n)
 
 
+def _check_tol(tol: float) -> None:
+    if not tol > 0:
+        raise DomainError(f"tol must be positive, got {tol!r}")
+
+
 # ---------------------------------------------------------------------------
 # brackets
 # ---------------------------------------------------------------------------
@@ -210,8 +215,8 @@ def _check_level(n: int, name: str = "level") -> int:
 def bracket_q(n: int, q: float) -> float:
     """q-bracket [n]_q = (1 - q**n)/(1 - q), with the q = 1 limit n taken exactly."""
     _check_level(n)
-    if isinstance(q, complex) or not q > 0:
-        raise DomainError(f"bracket_q requires real q > 0, got {q!r}")
+    if isinstance(q, complex) or not 0 < q < _INF:
+        raise DomainError(f"bracket_q requires finite real q > 0, got {q!r}")
     if q == 1:
         return float(n)
     return (1.0 - q**n) / (1.0 - q)
@@ -221,8 +226,8 @@ def bracket_pq(x: int, q: float, p: float) -> float:
     """(p,q)-bracket [x]_{q,p} = (p**x - q**x)/(p - q); at p = q the limit x*q**(x-1)."""
     _check_level(x)
     for name, value in (("q", q), ("p", p)):
-        if isinstance(value, complex) or not value > 0:
-            raise DomainError(f"bracket_pq requires real {name} > 0, got {value!r}")
+        if isinstance(value, complex) or not 0 < value < _INF:
+            raise DomainError(f"bracket_pq requires finite real {name} > 0, got {value!r}")
     if p == q:
         return x * q ** (x - 1)
     return (p**x - q**x) / (p - q)
@@ -235,8 +240,8 @@ def bracket_sym(x: int, q: float | complex) -> float | complex:
     Real for real q and on the unit circle, where it equals sin(x*theta)/sin(theta).
     """
     _check_level(x)
-    if q == 0:
-        raise DomainError("bracket_sym requires q != 0")
+    if q == 0 or not cmath.isfinite(q):
+        raise DomainError(f"bracket_sym requires finite q != 0, got {q!r}")
     if q == 1 or q == -1:
         return x * q ** (x - 1)
     return (q**x - q ** (-x)) / (q - 1.0 / q)

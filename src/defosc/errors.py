@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DomainError",
+    "SingularRecipeError",
+    "PoleError",
+    "MetricError",
+    "NoMetricError",
+    "DegenerateOperatorError",
+]
+
 
 class DomainError(ValueError):
     """Argument or parameter outside the validity domain of an operation."""

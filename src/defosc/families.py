@@ -180,6 +180,7 @@ def verify_ratio_recursions(
         raise DomainError(f"n_max must be >= 2, got {n_max}")
     _check_level(n_max, "n_max")  # after the bound, so a small int keeps that message
     params = _as_params(params)
+    params.require_real_positive("verify_ratio_recursions")
     x = params.power_base
     worst = 0.0
     for n in range(0, n_max + 1):
@@ -204,5 +205,6 @@ def ratio_kernel_constancy(
     Diagnostic only: at q = 1 a consistent general solution needs R constant,
     but nothing is enforced here.
     """
+    _check_level(n_max, "n_max")
     base = f(0) * k(1)
     return max(abs(f(n) * k(n + 1) - base) for n in range(0, n_max + 1))

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dsf import DeformationParams, FamilyId, _as_params, _check_level, phi_closed
+from .dsf import DeformationParams, FamilyId, _as_params, _check_level, _check_tol, phi_closed
 from .errors import DomainError
 from .families import GHPair, coefficients, gh_pair
 
@@ -263,6 +263,7 @@ def _eye(dim: int) -> _Bands:
 
 def verify_heisenberg(rep: FockRep, tol: float = 1e-10) -> ResidualReport:
     """Scaled residual of p X P - q P X - i*hbar on the trusted block."""
+    _check_tol(tol)
     p_eff = rep.params.p if rep.params.two_parameter else 1.0
     q = rep.params.q
     X, P, eye = rep._x_bands, rep._p_bands, _eye(rep.dim)
@@ -279,6 +280,7 @@ def verify_gh_relation(rep: FockRep, gh: GHPair | None = None, tol: float = 1e-1
     Raises DomainError naming the level where G or H leaves the
     double-precision range.
     """
+    _check_tol(tol)
     if gh is None:
         gh = gh_pair(rep.family, rep.params)
     levels = range(rep.dim)
@@ -299,6 +301,7 @@ def verify_ladder(rep: FockRep, tol: float = 1e-10) -> ResidualReport:
     The expected commutator diagonal is recomputed from the family's closed
     form, so representations built from a corrupted phi fail here too.
     """
+    _check_tol(tol)
     ap, am = rep._a_plus_bands, rep._a_minus_bands
     num = _Bands({0: np.arange(rep.dim, dtype=float)})
     abs_ap, abs_am, abs_num = abs(ap), abs(am), abs(num)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dsf import DeformationParams, FamilyId, _as_params, _check_level, phi_closed
+from .dsf import DeformationParams, FamilyId, _as_params, _check_level, _check_tol, phi_closed
 from .errors import DomainError
 
 __all__ = [
@@ -51,7 +51,8 @@ class DegeneracyRoot:
 
 def energy(family: FamilyId | str, params: DeformationParams | float, n: int) -> float:
     """E(n) = (phi(n+1) + phi(n))/2 for the given family."""
-    return 0.5 * (phi_closed(family, params, n + 1) + phi_closed(family, params, n))
+    phi_n = phi_closed(family, params, n)  # first, so a bad level is refused as given
+    return 0.5 * (phi_closed(family, params, n + 1) + phi_n)
 
 
 def spectrum(family: FamilyId | str, params: DeformationParams | float, n_max: int) -> SpectrumReport:
@@ -137,8 +138,7 @@ def find_degeneracy(
         raise DomainError("search endpoints must differ from the undeformed point q = 1")
     if q_hi == math.inf:
         raise DomainError(f"search endpoints must be finite, got {search!r}")
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
+    _check_tol(tol)
     if grid < 2:
         raise DomainError(f"grid must have at least 2 points, got {grid}")
     _check_level(grid, "grid")  # after the bound, so a small int keeps that message

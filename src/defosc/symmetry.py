@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsf import _EXPONENTS, DeformationParams, FamilyId, _phi_power_base
+from .dsf import _EXPONENTS, DeformationParams, FamilyId, _check_level, _check_tol, _phi_power_base
 from .errors import DegenerateOperatorError, DomainError, NoMetricError
 from .fock import FockRep
 
@@ -62,6 +62,7 @@ def symmetrized_routes(base: FamilyId | str, q, n: int) -> tuple[complex, comple
     two expressions are algebraically equal; evaluating both is the internal
     consistency check used by :func:`phi_symmetrized`.
     """
+    _check_level(n)
     base = FamilyId.parse(base)
     if base.two_parameter:
         raise DomainError("unit-circle symmetrization applies to one-parameter families")
@@ -93,8 +94,6 @@ def phi_symmetrized(base: FamilyId | str, q, n: int) -> float:
     negligible at the same scale; both are enforced, then the real part is
     returned.
     """
-    if n < 0:
-        raise DomainError(f"level must be >= 0, got {n}")
     avg, fact = symmetrized_routes(base, q, n)
     scale = max(1.0, abs(avg), abs(fact))
     if abs(avg - fact) > _CROSS_CHECK_TOL * scale:
@@ -120,8 +119,7 @@ def phi_symmetrized_qp(base: FamilyId | str, q, p, n: int):
     base = FamilyId.parse(base)
     if not base.two_parameter:
         raise DomainError("phi_symmetrized_qp applies to two-parameter families")
-    if n < 0:
-        raise DomainError(f"level must be >= 0, got {n}")
+    _check_level(n)
     if q == 0 or p == 0:
         raise DomainError("q and p must be nonzero")
     complex_input = (isinstance(q, complex) and q.imag != 0) or (
@@ -200,6 +198,7 @@ def find_metric(rep: FockRep, target: str = "X", tol: float = 1e-10) -> MetricDi
     the transposed entry must agree, the ratio must be real and positive, and
     the assembled eta must satisfy the full relation to `tol`.  eta(0) = 1.
     """
+    _check_tol(tol)
     rep.params.require_real_positive("find_metric")
     sub_band, sup_band = _target_bands(rep, target)
     eta = np.empty(rep.dim)

@@ -39,7 +39,7 @@ class TestBracketQ:
         assert_close(bracket_q(n + 1, q), 1.0 + q * bracket_q(n, q),
                      rel=1e-12, abs_tol=1e-12)
 
-    @pytest.mark.parametrize("q", [0.0, -1.0, -0.5])
+    @pytest.mark.parametrize("q", [0.0, -1.0, -0.5, math.inf])
     def test_rejects_nonpositive(self, q):
         with pytest.raises(DomainError):
             bracket_q(3, q)
@@ -80,6 +80,11 @@ class TestBracketPQ:
         with pytest.raises(DomainError):
             bracket_pq(2, 1.0, 0.0)
 
+    @pytest.mark.parametrize("q,p", [(math.inf, 1.1), (1.1, math.inf), (math.nan, 1.1)])
+    def test_rejects_non_finite(self, q, p):
+        with pytest.raises(DomainError, match="requires finite real"):
+            bracket_pq(3, q, p)
+
 
 class TestBracketSym:
     def test_unit(self):
@@ -109,3 +114,8 @@ class TestBracketSym:
     def test_rejects_zero(self):
         with pytest.raises(DomainError):
             bracket_sym(2, 0)
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
+    def test_rejects_non_finite(self, q):
+        with pytest.raises(DomainError, match="requires finite q != 0"):
+            bracket_sym(3, q)

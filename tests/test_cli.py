@@ -197,8 +197,12 @@ class TestOutputContract:
 
     def test_json_meta_key_order_is_stable(self, capsys):
         _, out, _ = run(capsys, "verify", "--family", "A", "--q", "1.1", "--dim", "6")
-        keys = list(json.loads(out).keys())
-        assert keys == ["meta", "residuals", "boundary", "hermiticity_defect", "passed"]
+        report = json.loads(out)
+        assert list(report) == ["meta", "residuals", "boundary", "hermiticity_defect", "passed"]
+        assert list(report["meta"]) == ["family", "q", "p", "dim", "trusted", "tol"]
+        _, out, _ = run(capsys, "spectrum", "--family", "A", "--q", "1.1", "--n-max", "3",
+                        "--format", "json")
+        assert list(json.loads(out)) == ["meta", "columns", "rows", "ground_state"]
 
 
 class TestErrorPaths:

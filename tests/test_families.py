@@ -196,6 +196,16 @@ class TestRatioRecursions:
         with pytest.raises(DomainError, match=rf"^{message}$"):
             verify_ratio_recursions(coefficients("A", 1.1), 1.1, n_max)
 
+    @pytest.mark.parametrize("params,message", [
+        (-1.0, "finite q > 0, got -1.0"),
+        (math.nan, "finite q > 0, got nan"),
+        (1j, "real q, got 1j"),
+        (DeformationParams(q=1.1, p=math.inf), "finite p > 0, got inf"),
+    ])
+    def test_bad_params_are_domain_error(self, params, message):
+        with pytest.raises(DomainError, match=rf"^verify_ratio_recursions requires {message}$"):
+            verify_ratio_recursions(coefficients("A", 1.1), params, 5)
+
     @pytest.mark.parametrize("family,q,n_max", [("A", 0.5, 600), ("B", 0.5, 600), ("C", 2.0, 1200)])
     def test_out_of_range_names_the_level(self, family, q, n_max):
         with pytest.raises(DomainError, match="double-precision range at level"):
@@ -214,3 +224,11 @@ class TestRatioKernelDiagnostic:
     def test_drifting_kernel(self):
         cs = coefficients("A", 1.2)
         assert ratio_kernel_constancy(cs.f, cs.k, 10) > 0.1
+
+    @pytest.mark.parametrize("n_max,message", [
+        (-1, "n_max must be >= 0, got -1"),
+        (2.5, "n_max must be an integer, got 2.5"),
+    ])
+    def test_bad_n_max_is_domain_error(self, n_max, message):
+        with pytest.raises(DomainError, match=rf"^{message}$"):
+            ratio_kernel_constancy(lambda n: 1.0, lambda n: 1.0, n_max)

@@ -154,6 +154,14 @@ class TestVerifiers:
         assert report.residual <= 1e-10
 
 
+    @pytest.mark.parametrize("verify", [verify_heisenberg, verify_gh_relation, verify_ladder])
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0])
+    def test_bad_tol_is_domain_error(self, verify, tol):
+        rep = build_rep("A", 1.1, 8)
+        with pytest.raises(DomainError, match=rf"^tol must be positive, got {tol!r}$"):
+            verify(rep, tol=tol)
+
+
 class TestHermiticity:
     def test_hermitian_only_undeformed(self):
         defect = lambda rep: np.abs(rep.X - rep.X.conj().T).max()

@@ -69,6 +69,25 @@ def test_star_import_binds_all():
         assert namespace[name] is getattr(defosc, name)
 
 
+def test_all_is_the_union_of_the_module_surfaces():
+    from defosc import dsf, errors, families, spectra
+
+    assert defosc.__all__ == sorted([*dsf.__all__, *errors.__all__, *families.__all__,
+                                     *spectra.__all__, *defosc._LAZY])
+
+
+def test_lazy_list_matches_the_fock_layer_surfaces():
+    import defosc.fock
+    import defosc.symmetry
+
+    assert set(defosc._LAZY) == set(defosc.fock.__all__) | set(defosc.symmetry.__all__)
+
+
+def test_guard_band_reads_without_numpy():
+    out = fresh("import sys, defosc; print(defosc.GUARD_BAND, 'numpy' in sys.modules)").stdout
+    assert out == "0.0001 False\n"
+
+
 def test_dir_lists_all():
     assert set(defosc.__all__) <= set(dir(defosc))
 

@@ -51,6 +51,17 @@ class TestEnergy:
         with pytest.raises(DomainError, match="n_max must be >= 0, got -1"):
             spectrum("A", 1.015, -1)
 
+    @pytest.mark.parametrize("n,message", [
+        (2.0, "level must be an integer, got 2.0"),
+        (-2, "level must be >= 0, got -2"),
+    ])
+    def test_bad_level_is_refused_as_given(self, n, message):
+        for evaluate in (lambda: energy("A", 1.1, n),
+                         lambda: degeneracy_equation("A", 1.1, n, 0),
+                         lambda: degeneracy_equation("A", 1.1, 0, n)):
+            with pytest.raises(DomainError, match=rf"^{message}$"):
+                evaluate()
+
     def test_matches_fock_bilinear_diagonal(self):
         # E(n) must be half the sum of adjacent a+ a- diagonal entries
         q = 1.02

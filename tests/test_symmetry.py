@@ -12,6 +12,7 @@ from defosc import (
     DomainError,
     NoMetricError,
     PoleError,
+    StructureFunction,
     SymmetrizedDSF,
     build_rep,
     find_metric,
@@ -97,6 +98,24 @@ class TestSymmetrizedForms:
             phi_symmetrized("A", 2j, 3)  # off the unit circle
         with pytest.raises(DomainError):
             phi_symmetrized("At", 1.1, 3)  # two-parameter base
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda n: phi_symmetrized("A", 1.1, n),
+        lambda n: symmetrized_routes("A", 1.1, n),
+        lambda n: phi_symmetrized_qp("At", 1.1, 0.9, n),
+        lambda n: SymmetrizedDSF("A", DeformationParams(q=1.1))(n),
+        lambda n: SymmetrizedDSF("At", DeformationParams(q=1.1, p=0.9))(n),
+        lambda n: StructureFunction.symmetrized("A", 1.1)(n),
+    ], ids=["phi_symmetrized", "symmetrized_routes", "phi_symmetrized_qp", "SymmetrizedDSF",
+            "SymmetrizedDSF_qp", "StructureFunction"])
+    @pytest.mark.parametrize("n,message", [
+        (2.5, "level must be an integer, got 2.5"),
+        (True, "level must be an integer, got True"),
+        (-1, "level must be >= 0, got -1"),
+    ])
+    def test_levels_take_the_shared_check(self, evaluate, n, message):
+        with pytest.raises(DomainError, match=rf"^{message}$"):
+            evaluate(n)
 
 
 class TestTwoParameterSymmetrization:
@@ -225,6 +244,11 @@ class TestFindMetric:
                 return
         assert metric.residual <= 1e-10
         assert np.all(np.isfinite(metric.eta)) and np.all(metric.eta > 0)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0])
+    def test_bad_tol_is_domain_error(self, tol):
+        with pytest.raises(DomainError, match=rf"^tol must be positive, got {tol!r}$"):
+            find_metric(build_rep("A", 1.1, 8), "X", tol)
 
     def test_degenerate_operator_rejected(self):
         rep = build_rep("A", 1.1, 8)
