@@ -10,7 +10,7 @@ degeneracy  solved parameter values q* with E(n) = E(m) in a q interval
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error
 (including a value that leaves the double-precision range, a negative
---n-max and a NaN or non-positive verify --tol).
+--n-max and a NaN, non-positive or infinite --tol).
 Only `verify` imports the Fock layer (`fock`, `symmetry`) and with it numpy;
 the other subcommands run on the numpy-free scalar modules.
 Output is deterministic: floats are printed with 17 significant digits, CSV

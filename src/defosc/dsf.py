@@ -122,9 +122,14 @@ class FamilyId:
 
     @classmethod
     def parse(cls, value: "FamilyId | FamilyTag | str") -> "FamilyId":
+        """The value itself if a FamilyId, else the shared printed-family id of its tag."""
         if isinstance(value, FamilyId):
             return value
-        return cls(FamilyTag.parse(value))
+        if type(value) is str:
+            family = _PRINTED_SPELLINGS.get(value)
+            if family is not None:
+                return family
+        return _PRINTED[FamilyTag.parse(value)]
 
     @property
     def two_parameter(self) -> bool:
@@ -133,6 +138,12 @@ class FamilyId:
     @property
     def index(self) -> int:
         return self.tag.index
+
+
+# tag -> its printed family (c0 = d0 = 1), built once; frozen, so safe to share
+_PRINTED = {tag: FamilyId(tag) for tag in FamilyTag}
+# the same ids under every common spelling, so a string skips FamilyTag.parse
+_PRINTED_SPELLINGS = {spelling: _PRINTED[tag] for spelling, tag in _SPELLINGS.items()}
 
 
 @dataclass(frozen=True)
@@ -183,14 +194,22 @@ def _as_params(params: DeformationParams | float) -> DeformationParams:
     return DeformationParams(q=params)
 
 
-def _check_family_params(family: FamilyId, params: DeformationParams, context: str) -> None:
-    if family.two_parameter != params.two_parameter:
+def _check_family_params(
+    family: FamilyId, params: DeformationParams, context: str, *, printed: bool = False
+) -> None:
+    """Arity match and real positive parameters; with `printed`, also c0 = d0 = 1."""
+    if family.tag.two_parameter != (params.p is not None):  # the two properties, inlined
         kind = "two-parameter" if family.two_parameter else "one-parameter"
         raise DomainError(
             f"{context}: family {family.tag.value} is {kind} but params "
             f"{'lack' if family.two_parameter else 'carry'} p"
         )
     params.require_real_positive(context)
+    if printed and (family.c0, family.d0) != (1.0, 1.0):
+        raise DomainError(
+            f"{context} covers the printed families (c0 = d0 = 1); reconstruct "
+            "general solutions with phi_from_gh"
+        )
 
 
 def _check_level(n: int, name: str = "level") -> int:
@@ -206,6 +225,8 @@ def _check_level(n: int, name: str = "level") -> int:
 def _check_tol(tol: float) -> None:
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol!r}")
+    if tol == _INF:  # would accept any residual or bracket
+        raise DomainError(f"tol must be finite, got {tol!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +240,7 @@ def bracket_q(n: int, q: float) -> float:
         raise DomainError(f"bracket_q requires finite real q > 0, got {q!r}")
     if q == 1:
         return float(n)
-    return (1.0 - q**n) / (1.0 - q)
+    return _in_range("bracket_q", (n, q), lambda: (1.0 - q**n) / (1.0 - q))
 
 
 def bracket_pq(x: int, q: float, p: float) -> float:
@@ -229,8 +250,8 @@ def bracket_pq(x: int, q: float, p: float) -> float:
         if isinstance(value, complex) or not 0 < value < _INF:
             raise DomainError(f"bracket_pq requires finite real {name} > 0, got {value!r}")
     if p == q:
-        return x * q ** (x - 1)
-    return (p**x - q**x) / (p - q)
+        return _in_range("bracket_pq", (x, q, p), lambda: x * q ** (x - 1))
+    return _in_range("bracket_pq", (x, q, p), lambda: (p**x - q**x) / (p - q))
 
 
 def bracket_sym(x: int, q: float | complex) -> float | complex:
@@ -244,7 +265,18 @@ def bracket_sym(x: int, q: float | complex) -> float | complex:
         raise DomainError(f"bracket_sym requires finite q != 0, got {q!r}")
     if q == 1 or q == -1:
         return x * q ** (x - 1)
-    return (q**x - q ** (-x)) / (q - 1.0 / q)
+    return _in_range("bracket_sym", (x, q), lambda: (q**x - q ** (-x)) / (q - 1.0 / q))
+
+
+def _in_range(name: str, args: tuple, formula: Callable[[], float | complex]) -> float | complex:
+    """formula(), or DomainError naming the call `name(*args)` when it leaves the double range."""
+    try:
+        value = formula()
+    except OverflowError:
+        value = _INF
+    if not cmath.isfinite(value):
+        raise DomainError(f"{name}{args!r} leaves the double-precision range")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +357,19 @@ def phi_closed(family: FamilyId | str, params: DeformationParams | float, n: int
     family = FamilyId.parse(family)
     params = _as_params(params)
     _check_level(n)
-    _check_family_params(family, params, "phi_closed")
-    if (family.c0, family.d0) != (1.0, 1.0):
-        raise DomainError(
-            "phi_closed covers the printed families (c0 = d0 = 1); reconstruct "
-            "general solutions with phi_from_gh"
-        )
-    x = params.power_base
-    value = _phi_power_base(family.tag.letter, x, n, params.p or 1.0)
+    _check_family_params(family, params, "phi_closed", printed=True)
+    return _phi_at(family.tag.letter, params.power_base, n, params.p or 1.0)
+
+
+def _phi_at(letter: str, x: float, n: int, p: float = 1.0) -> float:
+    """phi_closed's value once its arguments are checked: level n of base `letter`.
+
+    Callers validate (family, params) the way phi_closed does, then pass the
+    base x = q or q/p and p (1.0 for one-parameter families).  A phi(n >= 1)
+    below the smallest normal double is refused here, not in _phi_power_base,
+    whose symmetrized callers may legitimately meet an underflowing term.
+    """
+    value = _phi_power_base(letter, x, n, p)
     if value < _MIN_NORMAL and n:  # phi > 0 at real q, p > 0
         raise DomainError(f"phi({n}) leaves the double-precision range at base {x!r}")
     return value

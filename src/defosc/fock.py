@@ -31,7 +31,10 @@ from typing import Callable
 
 import numpy as np
 
-from .dsf import DeformationParams, FamilyId, _as_params, _check_level, _check_tol, phi_closed
+from .dsf import (
+    DeformationParams, FamilyId, _as_params, _check_family_params, _check_level, _check_tol,
+    _phi_at,
+)
 from .errors import DomainError
 from .families import GHPair, coefficients, gh_pair
 
@@ -193,6 +196,13 @@ def _level_values(fn: Callable[[int], float], name: str, levels: range) -> np.nd
     return out
 
 
+def _closed_form(family: FamilyId, params: DeformationParams) -> Callable[[int], float]:
+    """phi_closed(family, params, .) with (family, params) checked here, once."""
+    _check_family_params(family, params, "phi_closed", printed=True)
+    letter, x, p = family.tag.letter, params.power_base, params.p or 1.0
+    return lambda n: _phi_at(letter, x, n, p)
+
+
 def build_rep(
     family: FamilyId | str,
     params: DeformationParams | float,
@@ -221,7 +231,7 @@ def build_rep(
     if not 3 <= dim <= MAX_DIM:
         raise DomainError(f"dim must be in [3, {MAX_DIM}], got {dim}")
     if phi is None:
-        phi = lambda n: phi_closed(family, params, n)  # noqa: E731
+        phi = _closed_form(family, params)
 
     phi_vals = _level_values(phi, "phi", range(dim + 1))
     negative = np.flatnonzero(phi_vals < 0)
@@ -305,7 +315,8 @@ def verify_ladder(rep: FockRep, tol: float = 1e-10) -> ResidualReport:
     ap, am = rep._a_plus_bands, rep._a_minus_bands
     num = _Bands({0: np.arange(rep.dim, dtype=float)})
     abs_ap, abs_am, abs_num = abs(ap), abs(am), abs(num)
-    phi_vals = np.array([phi_closed(rep.family, rep.params, n) for n in range(rep.dim + 1)])
+    phi = _closed_form(rep.family, rep.params)
+    phi_vals = np.array([phi(n) for n in range(rep.dim + 1)])
     steps = _Bands({0: phi_vals[1:] - phi_vals[:-1]})
     step_scale = _Bands({0: np.abs(phi_vals[1:]) + np.abs(phi_vals[:-1])})
     checks = (

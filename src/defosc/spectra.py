@@ -10,7 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dsf import DeformationParams, FamilyId, _as_params, _check_level, _check_tol, phi_closed
+from .dsf import (
+    DeformationParams, FamilyId, _as_params, _check_family_params, _check_level, _check_tol,
+    _phi_at, phi_closed,
+)
 from .errors import DomainError
 
 __all__ = [
@@ -82,11 +85,29 @@ def ground_state_table(params: DeformationParams | float) -> tuple[float, float,
 
 
 def degeneracy_equation(family: FamilyId | str, q: float, n: int, m: int) -> float:
-    """E_q(n) - E_q(m); its zeros in q are the accidental degeneracies."""
+    """E_q(n) - E_q(m); its zeros in q are the accidental degeneracies.
+
+    (family, q) is checked once, as phi_closed checks it; the four phi values
+    then come from its kernel, so the result equals
+    ``energy(family, q, n) - energy(family, q, m)`` bit for bit, and every
+    refusal keeps energy's message and order: n == m, level n, family and q,
+    phi(n) or phi(n + 1) out of range, level m.
+    """
     if n == m:
         raise DomainError("degeneracy requires two distinct levels")
-    params = DeformationParams(q=q)
-    return energy(family, params, n) - energy(family, params, m)
+    family = FamilyId.parse(family)
+    _check_level(n)
+    # a finite positive float q of a printed one-parameter family passes every
+    # check; anything else takes phi_closed's checks in full
+    if not (type(q) is float and 0 < q < math.inf) or family.two_parameter \
+            or (family.c0, family.d0) != (1.0, 1.0):
+        _check_family_params(family, DeformationParams(q=q), "phi_closed", printed=True)
+    letter = family.tag.letter
+    phi_n = _phi_at(letter, q, n)
+    e_n = 0.5 * (_phi_at(letter, q, n + 1) + phi_n)
+    _check_level(m)
+    phi_m = _phi_at(letter, q, m)
+    return e_n - 0.5 * (_phi_at(letter, q, m + 1) + phi_m)
 
 
 def _bisect(f, lo: float, hi: float, f_lo: float, tol: float) -> tuple[float, tuple[float, float]]:
@@ -118,6 +139,12 @@ def find_degeneracy(
     uniform grid of `grid` points; each sign change is bisected down to a
     bracket of width <= tol.  No sign change means an empty list, not an
     error.  Roots are returned in ascending order of q*.
+
+    Every evaluation is one call of :func:`degeneracy_equation`: `grid` per
+    segment, plus ceil(log2(scan step / tol)) bisection steps (fewer if a
+    midpoint hits 0 exactly) and one residual evaluation per bisected root.
+    The three acceptance searches of level 10, 90 and 30 against level 0 take
+    412, 413 and 415.
 
     Parameters
     ----------

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsf import _EXPONENTS, DeformationParams, FamilyId, _check_level, _check_tol, _phi_power_base
+from .dsf import (
+    _EXPONENTS, _INF, DeformationParams, FamilyId, _check_level, _check_tol, _phi_power_base,
+)
 from .errors import DegenerateOperatorError, DomainError, NoMetricError
 from .fock import FockRep
 
@@ -76,13 +78,18 @@ def symmetrized_routes(base: FamilyId | str, q, n: int) -> tuple[complex, comple
     s = cmath.sqrt(x)
     ef, ek = _EXPONENTS[letter]
     m = (1 + ef + ek) * n - ef
-    sym_bracket = (s**n - s**-n) / (s - 1.0 / s)
-    fact = (
-        (x**m + x**-m)
-        * (s ** (n - 1) + s ** (1 - n))
-        / ((x**n + x**-n) * (x ** (n - 1) + x ** (1 - n)))
-        * sym_bracket
-    )
+    try:
+        sym_bracket = (s**n - s**-n) / (s - 1.0 / s)
+        fact = (
+            (x**m + x**-m)
+            * (s ** (n - 1) + s ** (1 - n))
+            / ((x**n + x**-n) * (x ** (n - 1) + x ** (1 - n)))
+            * sym_bracket
+        )
+    except OverflowError:
+        raise DomainError(
+            f"factorized symmetrized phi({n}) leaves the double-precision range at q = {q!r}"
+        ) from None
     return avg, fact
 
 
@@ -129,8 +136,10 @@ def phi_symmetrized_qp(base: FamilyId | str, q, p, n: int):
         q, p = float(q.real if isinstance(q, complex) else q), float(
             p.real if isinstance(p, complex) else p
         )
-        if not (q > 0 and p > 0):
-            raise DomainError("real parameters must be positive")
+        if not (0 < q < _INF and 0 < p < _INF):
+            raise DomainError(
+                f"real parameters must be finite and positive, got q = {q!r}, p = {p!r}"
+            )
     letter = base.tag.letter
     forward = _phi_power_base(letter, q / p, n, p)
     swapped = _phi_power_base(letter, p / q, n, q)

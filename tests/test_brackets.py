@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -119,3 +120,18 @@ class TestBracketSym:
     def test_rejects_non_finite(self, q):
         with pytest.raises(DomainError, match="requires finite q != 0"):
             bracket_sym(3, q)
+
+
+@pytest.mark.parametrize("bracket,args", [
+    (bracket_q, (2000, 2.0)),
+    (bracket_q, (2000, 2)),  # an int power too large for a float
+    (bracket_pq, (2000, 2.0, 1.1)),
+    (bracket_pq, (2000, 2.0, 2.0)),  # the p = q limit
+    (bracket_sym, (2000, 2.0)),
+    (bracket_sym, (2000, 0.5)),
+    (bracket_sym, (2000, 2.0 + 0.5j)),
+])
+def test_out_of_range_names_the_bracket(bracket, args):
+    shown = re.escape(f"{bracket.__name__}{args!r}")
+    with pytest.raises(DomainError, match=rf"^{shown} leaves the double-precision range$"):
+        bracket(*args)

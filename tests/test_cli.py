@@ -242,6 +242,16 @@ class TestErrorPaths:
         assert (code, out) == (2, "")
         assert err == f"error: tol must be positive, got {shown}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--family", "A", "--q", "1.1"),
+        ("degeneracy", "--family", "A", "--q", "1.1", "--n", "10", "--m", "0",
+         "--q-range", "1.001:1.5"),
+    ])
+    def test_infinite_tolerance_is_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--tol", "inf")
+        assert (code, out) == (2, "")
+        assert err == "error: tol must be finite, got inf\n"
+
     @pytest.mark.parametrize("command", ["dsf", "spectrum"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_negative_n_max_is_domain_error(self, capsys, command, fmt):

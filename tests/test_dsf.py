@@ -90,6 +90,21 @@ class TestFamilyParsing:
         assert fam.index == 2
         assert not fam.two_parameter
 
+    def test_printed_family_ids_are_shared(self):
+        assert FamilyId.parse("a") is FamilyId.parse(FamilyTag.A) is FamilyId.parse(" A ")
+        assert FamilyId.parse("Ã") is FamilyId.parse("At") is dsf._PRINTED[FamilyTag.AT]
+        for tag in FamilyTag:
+            assert FamilyId.parse(tag.value) is dsf._PRINTED[tag]
+            assert dsf._PRINTED[tag] == FamilyId(tag)
+            assert hash(dsf._PRINTED[tag]) == hash(FamilyId(tag))
+            assert FamilyId.parse(tag) != FamilyId(tag, c0=2.0)
+
+    @pytest.mark.parametrize("custom", [
+        FamilyId(FamilyTag.A, c0=2.0), FamilyId(FamilyTag.A, d0=0.5), FamilyId(FamilyTag.BT),
+    ])
+    def test_a_family_id_parses_to_itself(self, custom):
+        assert FamilyId.parse(custom) is custom
+
 
 class TestDeformationParams:
     def test_rejects_zero_p(self):
@@ -197,6 +212,19 @@ class TestPhiClosed:
         with pytest.raises(DomainError):
             phi_closed(fam, 1.1, 3)
 
+    @pytest.mark.parametrize("fam", [
+        FamilyId(FamilyTag.A, c0=2.0), FamilyId(FamilyTag.C, d0=0.5),
+        FamilyId(FamilyTag.BT, c0=1.5, d0=1.5),
+    ])
+    def test_custom_constants_are_refused_after_the_parameter_checks(self, fam):
+        params = DeformationParams(q=1.1, p=1.2 if fam.two_parameter else None)
+        with pytest.raises(DomainError, match=r"^phi_closed covers the printed families"):
+            phi_closed(fam, params, 3)
+        with pytest.raises(DomainError, match=r"^level must be >= 0, got -1$"):
+            phi_closed(fam, params, -1)
+        with pytest.raises(DomainError, match=r"^phi_closed requires finite q > 0, got -1.0$"):
+            phi_closed(fam, DeformationParams(q=-1.0, p=params.p), 3)
+
     def test_rejects_negative_level(self):
         with pytest.raises(DomainError):
             phi_closed("A", 1.1, -2)
@@ -228,6 +256,14 @@ class TestPhiClosed:
     def test_out_of_range_names_the_level(self, family, q, n):
         with pytest.raises(DomainError, match=rf"phi\({n}\) leaves the double-precision range"):
             phi_closed(family, q, n)
+
+    def test_the_kernel_alone_keeps_an_underflowing_value(self):
+        # the min-normal refusal belongs to phi_closed's kernel, not to
+        # _phi_power_base, whose symmetrized callers average an underflowing term
+        assert 0.0 <= dsf._phi_power_base("A", 1.5, 439) < 2.0**-1022
+        with pytest.raises(DomainError, match=r"^phi\(439\) leaves the double-precision range"):
+            dsf._phi_at("A", 1.5, 439)
+        assert dsf._phi_at("A", 1.5, 438) == phi_closed("A", 1.5, 438)
 
     @pytest.mark.parametrize("family,q,n", [
         # (1 + x**(2n-2)) (1 + x**(2n)) overflows from n = 439

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import time
 
 import numpy as np
@@ -9,6 +10,7 @@ from defosc import (
     DegenerateOperatorError,
     DeformationParams,
     DomainError,
+    FamilyId,
     FamilyTag,
     GHPair,
     MetricError,
@@ -95,6 +97,33 @@ class TestBuildRep:
         with pytest.raises(DomainError, match=r"phi\(\d+\) leaves the double-precision range"):
             build_rep("A", 0.5, 600)
 
+    @pytest.mark.parametrize("family,q,dim,level", [
+        ("A", 1.5, 600, 439),  # phi(439) falls below the smallest normal double
+        ("A", 0.5, 600, 512),  # phi(512) overflows
+    ])
+    def test_phi_refusal_names_the_level(self, family, q, dim, level):
+        with pytest.raises(DomainError, match=rf"^phi\({level}\) leaves the double-precision "
+                                              rf"range at base {q}$"):
+            build_rep(family, q, dim)
+        rep = dataclasses.replace(build_rep(family, 1.2, dim), params=DeformationParams(q=q))
+        with pytest.raises(DomainError, match=rf"^phi\({level}\) leaves the double-precision "
+                                              rf"range at base {q}$"):
+            verify_ladder(rep)
+
+    @pytest.mark.parametrize("family,params,message", [
+        ("At", 1.1, "phi_closed: family At is two-parameter but params lack p"),
+        ("A", math.inf, "phi_closed requires finite q > 0, got inf"),
+        (FamilyId(FamilyTag.A, c0=2.0), 1.1, "phi_closed covers the printed families"),
+    ])
+    def test_family_and_params_are_checked_as_phi_closed_checks_them(self, family, params,
+                                                                     message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+            build_rep(family, params, 5)
+        rep = build_rep("A", 1.1, 5)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+            verify_ladder(dataclasses.replace(rep, family=FamilyId.parse(family),
+                                              params=DeformationParams(q=params)))
+
     def test_negative_phi_names_level(self):
         broken = lambda n: -1.0 if n == 4 else float(n)
         with pytest.raises(DomainError, match="phi\\(4\\)"):
@@ -160,6 +189,13 @@ class TestVerifiers:
         rep = build_rep("A", 1.1, 8)
         with pytest.raises(DomainError, match=rf"^tol must be positive, got {tol!r}$"):
             verify(rep, tol=tol)
+
+    @pytest.mark.parametrize("verify", [verify_heisenberg, verify_gh_relation, verify_ladder])
+    def test_infinite_tol_is_domain_error(self, verify):
+        # a broken algebra must not pass under tol = inf
+        rep = build_rep("A", 1.1, 8, phi=lambda n: float(n * n))
+        with pytest.raises(DomainError, match=r"^tol must be finite, got inf$"):
+            verify(rep, tol=math.inf)
 
 
 class TestHermiticity:

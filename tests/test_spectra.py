@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from defosc import (
     DeformationParams,
     DomainError,
+    FamilyId,
+    FamilyTag,
     build_rep,
     degeneracy_equation,
     energy,
@@ -14,6 +17,7 @@ from defosc import (
     phi_closed,
     spectrum,
 )
+from defosc import spectra
 
 from conftest import ONE_PARAM, assert_close
 
@@ -117,6 +121,57 @@ class TestDegeneracyEquation:
         with pytest.raises(DomainError):
             degeneracy_equation("A", 1.1, 4, 4)
 
+    @pytest.mark.parametrize("family", ONE_PARAM)
+    @pytest.mark.parametrize("q", (0.5, 0.8, 0.999, 1.001, 1.1, 1.5, 3))
+    def test_is_the_energy_difference_exactly(self, family, q):
+        for n, m in ((0, 1), (1, 0), (10, 0), (3, 40), (90, 2), (250, 7)):
+            try:
+                expected = energy(family, q, n) - energy(family, q, m)
+            except DomainError as exc:
+                with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+                    degeneracy_equation(family, q, n, m)
+                continue
+            assert degeneracy_equation(family, q, n, m) == expected
+
+    @pytest.mark.parametrize("family,q,n,m", [
+        # phi through the rescaled closed form: base 1.5 from n = 439, base 0.5 from n = 216
+        ("C", 1.5, 439, 441), ("D", 1.5, 440, 3), ("C", 1.5, 900, 10), ("D", 1.5, 600, 0),
+        ("B", 0.5, 216, 220), ("B", 0.6, 285, 0), ("B", 0.5, 220, 216),
+    ])
+    def test_is_the_energy_difference_exactly_past_the_rescale(self, family, q, n, m):
+        assert degeneracy_equation(family, q, n, m) == energy(family, q, n) - energy(family, q, m)
+
+    @pytest.mark.parametrize("family,q,n,m,message", [
+        ("A", 1.1, 4, 4, "degeneracy requires two distinct levels"),
+        ("A", math.inf, 2.0, 2, "degeneracy requires two distinct levels"),
+        ("A", math.inf, 3, 0, "phi_closed requires finite q > 0, got inf"),
+        ("A", 0, 3, 0, "phi_closed requires finite q > 0, got 0"),
+        ("A", -1, 3, 0, "phi_closed requires finite q > 0, got -1"),
+        ("A", math.nan, 3, 0, "phi_closed requires finite q > 0, got nan"),
+        ("A", 1 + 1j, 3, 0, r"phi_closed requires real q, got \(1\+1j\)"),
+        ("At", 1.1, 3, 0, "phi_closed: family At is two-parameter but params lack p"),
+        (FamilyId(FamilyTag.B, c0=2.0), 1.1, 3, 0,
+         r"phi_closed covers the printed families \(c0 = d0 = 1\); reconstruct "
+         "general solutions with phi_from_gh"),
+        ("zz", 1.1, -1, 0, "unknown family tag 'zz'"),
+        ("A", math.inf, 2.0, 0, "level must be an integer, got 2.0"),
+        ("At", 1.1, -1, 0, "level must be >= 0, got -1"),
+        ("A", 1.1, True, 0, "level must be an integer, got True"),
+        ("A", math.inf, 3, 2.0, "phi_closed requires finite q > 0, got inf"),
+        ("A", 1.1, 3, 2.0, "level must be an integer, got 2.0"),
+        ("A", 1.1, 3, -1, "level must be >= 0, got -1"),
+        ("A", 1.1, 3, True, "level must be an integer, got True"),
+        ("A", 0.5, 3000, -1, r"phi\(3000\) leaves the double-precision range at base 0.5"),
+        ("A", 1.5, 438, 2.0, r"phi\(439\) leaves the double-precision range at base 1.5"),
+        ("A", 1.5, 3, 439, r"phi\(439\) leaves the double-precision range at base 1.5"),
+    ])
+    def test_refusals_keep_message_and_precedence(self, family, q, n, m, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            degeneracy_equation(family, q, n, m)
+        if n != m:  # the same refusal as the energy difference it stands for
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                energy(family, q, n) - energy(family, q, m)
+
 
 def expanded_equation(q: float, n: int) -> float:
     # polynomial-type rewrite of E_q(n) - E_q(0) = 0 (multiplied through by
@@ -192,6 +247,28 @@ class TestFindDegeneracy:
             with pytest.raises(DomainError, match=rf"^{message}$"):
                 find_degeneracy("A", args["n"], args["m"], (0.99995, 1.00005), 1e-6,
                                 grid=args["grid"])
+
+    @pytest.mark.parametrize("n,search,tol,evaluations", [
+        # grid 400 + bisection steps ceil(log2(step / tol)) + 1 residual evaluation
+        (10, (1.001, 1.5), 1e-6, 412),
+        (90, (1.001, 1.1), 1e-7, 413),
+        (30, (1.001, 1.5), 1e-7, 415),
+    ])
+    def test_one_equation_call_per_evaluation(self, monkeypatch, n, search, tol, evaluations):
+        calls = []
+        equation = spectra.degeneracy_equation
+
+        def counted(*args):
+            calls.append(args)
+            return equation(*args)
+
+        monkeypatch.setattr(spectra, "degeneracy_equation", counted)
+        assert len(find_degeneracy("A", n, 0, search, tol)) == 1
+        assert len(calls) == evaluations
+
+    def test_infinite_tol_is_refused(self):
+        with pytest.raises(DomainError, match="^tol must be finite, got inf$"):
+            find_degeneracy("A", 10, 0, (1.001, 1.5), math.inf)
 
     def test_expanded_form_is_scaled_energy_difference(self):
         # the polynomial rewrite equals (E(n)-E(0)) times an explicit positive

@@ -89,6 +89,13 @@ class TestSymmetrizedForms:
         assert err.value.n == 6
         assert err.value.theta == pytest.approx(math.pi / 12)
 
+    @pytest.mark.parametrize("evaluate", [phi_symmetrized, symmetrized_routes])
+    def test_factorized_overflow_names_the_level(self, evaluate):
+        # the averaged route is still finite at n = 600; x**(3n - 1) is not
+        with pytest.raises(DomainError, match=r"^factorized symmetrized phi\(600\) leaves the "
+                                              r"double-precision range at q = 1.5$"):
+            evaluate("A", 1.5, 600)
+
     def test_domain_checks(self):
         with pytest.raises(DomainError):
             phi_symmetrized("A", 0, 3)
@@ -149,6 +156,13 @@ class TestTwoParameterSymmetrization:
             phi_symmetrized_qp("A", 1.2, 1.1, 3)  # one-parameter base
         with pytest.raises(DomainError):
             phi_symmetrized_qp("At", -1.0, 1.1, 3)
+
+    @pytest.mark.parametrize("q,p", [
+        (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (complex(math.inf, 0), 1.0),
+    ])
+    def test_real_parameters_must_be_finite(self, q, p):
+        with pytest.raises(DomainError, match=r"^real parameters must be finite and positive, "):
+            phi_symmetrized_qp("At", q, p, 4)
 
     def test_wrapper_dispatch(self):
         one = SymmetrizedDSF("A", DeformationParams(q=1.1))
@@ -249,6 +263,10 @@ class TestFindMetric:
     def test_bad_tol_is_domain_error(self, tol):
         with pytest.raises(DomainError, match=rf"^tol must be positive, got {tol!r}$"):
             find_metric(build_rep("A", 1.1, 8), "X", tol)
+
+    def test_infinite_tol_is_domain_error(self):
+        with pytest.raises(DomainError, match=r"^tol must be finite, got inf$"):
+            find_metric(build_rep("A", 1.1, 8), "X", math.inf)
 
     def test_degenerate_operator_rejected(self):
         rep = build_rep("A", 1.1, 8)
