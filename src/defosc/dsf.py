@@ -180,10 +180,8 @@ class DeformationParams:
         for name, value in (("q", q), ("p", p)):
             if value is None:
                 continue
-            if isinstance(value, complex):
-                if value.imag != 0:
-                    raise DomainError(f"{context} requires real {name}, got {value!r}")
-                value = value.real
+            if isinstance(value, complex):  # even with a zero imaginary part
+                raise DomainError(f"{context} requires real {name}, got {value!r}")
             if not 0 < value < _INF:
                 raise DomainError(f"{context} requires finite {name} > 0, got {value!r}")
 
@@ -275,7 +273,7 @@ def _in_range(name: str, args: tuple, formula: Callable[[], float | complex]) ->
     except OverflowError:
         value = _INF
     if not cmath.isfinite(value):
-        raise DomainError(f"{name}{args!r} leaves the double-precision range")
+        raise DomainError(f"{name}({', '.join(map(repr, args))}) leaves the double-precision range")
     return value
 
 

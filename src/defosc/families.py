@@ -182,17 +182,43 @@ def verify_ratio_recursions(
     params = _as_params(params)
     params.require_real_positive("verify_ratio_recursions")
     x = params.power_base
-    worst = 0.0
-    for n in range(0, n_max + 1):
+    # level n reads f, h at n and n + 1 and g, k at n - 1 and n; each table
+    # stops before its first failing level, and the first level that would
+    # read that entry is where the recursions leave the range
+    f = _prefix(cs.f, range(0, n_max + 2))
+    h = _prefix(cs.h, range(0, n_max + 2))
+    g = _prefix(cs.g, range(-1, n_max + 1))
+    k = _prefix(cs.k, range(-1, n_max + 1))
+    stop = min(n_max + 1, len(f) - 1, len(h) - 1, len(g) - 1, len(k) - 1)
+    worst, inf = 0.0, math.inf
+    for n, f0, f1, h0, h1, g0, g1, k0, k1 in zip(
+            range(stop), f, f[1:], h, h[1:], g, g[1:], k, k[1:]):
         try:
-            up = abs(cs.h(n + 1) / cs.h(n) - x * cs.f(n + 1) / cs.f(n))
-            down = abs(cs.k(n - 1) / cs.k(n) - x * cs.g(n - 1) / cs.g(n))
-        except (OverflowError, ZeroDivisionError):
-            up = down = math.inf
-        if not up + down < math.inf:
-            raise DomainError(f"ratio recursions leave the double-precision range at level {n}")
-        worst = max(worst, up + down)
+            total = abs(h1 / h0 - x * f1 / f0) + abs(k0 / k1 - x * g0 / g1)
+        except ZeroDivisionError:
+            total = inf
+        if not total < inf:
+            stop = n
+            break
+        if total > worst:
+            worst = total
+    if stop <= n_max:
+        raise DomainError(f"ratio recursions leave the double-precision range at level {stop}")
     return worst
+
+
+def _prefix(fn: Callable[[int], float], levels: range) -> list[float]:
+    """fn over levels, up to the first level where it raises OverflowError or ZeroDivisionError."""
+    try:
+        return [fn(n) for n in levels]
+    except (OverflowError, ZeroDivisionError):
+        values = []
+        for n in levels:
+            try:
+                values.append(fn(n))
+            except (OverflowError, ZeroDivisionError):
+                return values
+        return values
 
 
 def ratio_kernel_constancy(

@@ -4,7 +4,11 @@ Storage: a+ and a- are single off-diagonals, and X and P are tridiagonal
 with a zero diagonal, so a :class:`FockRep` keeps O(D) level vectors: the
 ladder amplitudes sqrt(phi(1..D-1)) and the sub- and super-diagonals of X
 and P.  The dense D x D matrices are read-only properties built on request
-in O(D^2); no library code reads them.
+in O(D^2); no library code reads them.  When build_rep evaluates the
+family's closed-form phi(0..D) itself, the rep keeps that table and
+verify_ladder reuses it; a rep built with a ``phi=`` override, built by hand
+or copied with ``dataclasses.replace`` has none, and verify_ladder recomputes
+the closed form.
 
 Band rule: the verifiers hold each operator as {offset: vector} with
 vector[r] = M[r, r + offset], zero where the column leaves the matrix.  The
@@ -26,14 +30,14 @@ for q = 0.9, where an unscaled residual could never beat phi * eps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .dsf import (
     DeformationParams, FamilyId, _as_params, _check_family_params, _check_level, _check_tol,
-    _phi_at,
+    _overflows, _phi_at,
 )
 from .errors import DomainError
 from .families import GHPair, coefficients, gh_pair
@@ -124,6 +128,9 @@ class FockRep:
     x_sup: np.ndarray
     p_sub: np.ndarray
     p_sup: np.ndarray
+    # closed-form phi(0..D) kept by build_rep for verify_ladder; outside
+    # __init__, so a dataclasses.replace copy starts without it
+    _phi: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def trusted(self) -> int:
@@ -183,12 +190,11 @@ class ResidualReport:
 
 def _level_values(fn: Callable[[int], float], name: str, levels: range) -> np.ndarray:
     """fn at Python-int levels; DomainError naming the first value out of double range."""
-    values = []
     try:
-        for n in levels:
-            values.append(fn(n))
+        values = [fn(n) for n in levels]
     except OverflowError:
-        raise DomainError(f"{name}({n}) leaves the double-precision range") from None
+        first = next(n for n in levels if _overflows(fn, n))
+        raise DomainError(f"{name}({first}) leaves the double-precision range") from None
     out = np.array(values, dtype=float)
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
@@ -196,11 +202,11 @@ def _level_values(fn: Callable[[int], float], name: str, levels: range) -> np.nd
     return out
 
 
-def _closed_form(family: FamilyId, params: DeformationParams) -> Callable[[int], float]:
-    """phi_closed(family, params, .) with (family, params) checked here, once."""
+def _closed_form_table(family: FamilyId, params: DeformationParams, size: int) -> np.ndarray:
+    """phi_closed(family, params, n) for n < size, with (family, params) checked here, once."""
     _check_family_params(family, params, "phi_closed", printed=True)
     letter, x, p = family.tag.letter, params.power_base, params.p or 1.0
-    return lambda n: _phi_at(letter, x, n, p)
+    return np.array([_phi_at(letter, x, n, p) for n in range(size)])
 
 
 def build_rep(
@@ -231,9 +237,9 @@ def build_rep(
     if not 3 <= dim <= MAX_DIM:
         raise DomainError(f"dim must be in [3, {MAX_DIM}], got {dim}")
     if phi is None:
-        phi = _closed_form(family, params)
-
-    phi_vals = _level_values(phi, "phi", range(dim + 1))
+        phi_vals = _closed_form_table(family, params, dim + 1)
+    else:
+        phi_vals = _level_values(phi, "phi", range(dim + 1))
     negative = np.flatnonzero(phi_vals < 0)
     if negative.size:
         n = int(negative[0])
@@ -245,11 +251,14 @@ def build_rep(
     f, g, h, k = (_level_values(fn, name, levels)
                   for name, fn in zip("fghk", (cs.f, cs.g, cs.h, cs.k)))
     # X = f(N) a- + g(N) a+ and P = i (k(N) a+ - h(N) a-), row by row
-    return FockRep(family=family, params=params, dim=dim, ladder=roots,
-                   x_sub=(g[1:] * roots).astype(complex),
-                   x_sup=(f[:-1] * roots).astype(complex),
-                   p_sub=1j * (k[1:] * roots),
-                   p_sup=-1j * (h[:-1] * roots))
+    rep = FockRep(family=family, params=params, dim=dim, ladder=roots,
+                  x_sub=(g[1:] * roots).astype(complex),
+                  x_sup=(f[:-1] * roots).astype(complex),
+                  p_sub=1j * (k[1:] * roots),
+                  p_sup=-1j * (h[:-1] * roots))
+    if phi is None:
+        object.__setattr__(rep, "_phi", phi_vals)  # frozen dataclass
+    return rep
 
 
 def _split_residual(R: _Bands, scale: _Bands, trusted: int) -> tuple[float, float]:
@@ -308,15 +317,19 @@ def verify_gh_relation(rep: FockRep, gh: GHPair | None = None, tol: float = 1e-1
 def verify_ladder(rep: FockRep, tol: float = 1e-10) -> ResidualReport:
     """Residuals of [N, a+] = a+, [N, a-] = -a-, [a-, a+] = phi(N+1) - phi(N).
 
-    The expected commutator diagonal is recomputed from the family's closed
-    form, so representations built from a corrupted phi fail here too.
+    The expected commutator diagonal is the family's closed form, so
+    representations built from a corrupted phi fail here too.  It is the
+    table build_rep kept when it used the closed form itself; after a ``phi=``
+    override, on a hand-built FockRep and on any ``dataclasses.replace`` copy
+    it is recomputed from (family, params).
     """
     _check_tol(tol)
     ap, am = rep._a_plus_bands, rep._a_minus_bands
     num = _Bands({0: np.arange(rep.dim, dtype=float)})
     abs_ap, abs_am, abs_num = abs(ap), abs(am), abs(num)
-    phi = _closed_form(rep.family, rep.params)
-    phi_vals = np.array([phi(n) for n in range(rep.dim + 1)])
+    phi_vals = rep._phi
+    if phi_vals is None:
+        phi_vals = _closed_form_table(rep.family, rep.params, rep.dim + 1)
     steps = _Bands({0: phi_vals[1:] - phi_vals[:-1]})
     step_scale = _Bands({0: np.abs(phi_vals[1:]) + np.abs(phi_vals[:-1])})
     checks = (

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .dsf import (
     DeformationParams, FamilyId, _as_params, _check_family_params, _check_level, _check_tol,
-    _phi_at, phi_closed,
+    _in_range, _phi_at, phi_closed,
 )
 from .errors import DomainError
 
@@ -72,15 +72,16 @@ def ground_state_table(params: DeformationParams | float) -> tuple[float, float,
 
     Closed forms: E1 = E3 = q**-1/(1 + q**2) and E2 = E4 = q**2/(1 + q**2);
     above/below the undeformed 1/2 depending on the side of q = 1.  Only the
-    one-parameter families have these printed values.
+    one-parameter families have these printed values.  Raises DomainError
+    naming the call when a value leaves the double-precision range.
     """
     params = _as_params(params)
     if params.two_parameter:
         raise DomainError("ground_state_table covers the one-parameter families only")
     params.require_real_positive("ground_state_table")
     q = params.q
-    low = q**-1 / (1.0 + q**2)
-    high = q**2 / (1.0 + q**2)
+    low = _in_range("ground_state_table", (q,), lambda: q**-1 / (1.0 + q**2))
+    high = _in_range("ground_state_table", (q,), lambda: q**2 / (1.0 + q**2))
     return (low, high, low, high)
 
 
@@ -113,6 +114,8 @@ def degeneracy_equation(family: FamilyId | str, q: float, n: int, m: int) -> flo
 def _bisect(f, lo: float, hi: float, f_lo: float, tol: float) -> tuple[float, tuple[float, float]]:
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # adjacent doubles: tol is below their spacing
+            break
         f_mid = f(mid)
         if f_mid == 0.0:
             half = 0.5 * tol
@@ -137,12 +140,14 @@ def find_degeneracy(
 
     The interval (clipped away from the q = 1 guard band) is scanned on a
     uniform grid of `grid` points; each sign change is bisected down to a
-    bracket of width <= tol.  No sign change means an empty list, not an
+    bracket of width <= tol, or to two adjacent doubles when tol is below
+    their spacing.  No sign change means an empty list, not an
     error.  Roots are returned in ascending order of q*.
 
     Every evaluation is one call of :func:`degeneracy_equation`: `grid` per
     segment, plus ceil(log2(scan step / tol)) bisection steps (fewer if a
-    midpoint hits 0 exactly) and one residual evaluation per bisected root.
+    midpoint hits 0 exactly or the bracket reaches adjacent doubles) and one
+    residual evaluation per bisected root.
     The three acceptance searches of level 10, 90 and 30 against level 0 take
     412, 413 and 415.
 

@@ -128,6 +128,7 @@ class TestVerifyCommand:
         report = json.loads(out)
         assert report["passed"] is False
         assert "heisenberg" in err
+        assert "ladder" in err  # the override keeps no closed-form table on the rep
 
     def test_ignores_format_flag(self, capsys):
         code, out, _ = run(capsys, "verify", "--family", "A", "--q", "1.1",

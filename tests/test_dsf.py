@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,9 @@ from defosc import (
     FamilyTag,
     SingularRecipeError,
     StructureFunction,
+    build_rep,
     coefficients,
+    degeneracy_equation,
     energy,
     gh_pair,
     phi_closed,
@@ -158,6 +161,25 @@ class TestParameterChecks:
             call("B", 1j)
         with pytest.raises(DomainError, match=rf"^{context} requires real p, got 1j$"):
             call("Bt", DeformationParams(q=1.1, p=1j))
+
+    @pytest.mark.parametrize("call,context", PARAM_CHECKS)
+    def test_rejects_complex_with_zero_imaginary_part(self, call, context):
+        with pytest.raises(DomainError, match=rf"^{context} requires real q, got \(1.5\+0j\)$"):
+            call("B", 1.5 + 0j)
+        with pytest.raises(DomainError, match=rf"^{context} requires real p, got \(1.2\+0j\)$"):
+            call("Bt", DeformationParams(q=1.1, p=1.2 + 0j))
+
+    @pytest.mark.parametrize("call,shown", [
+        (lambda: phi_closed("A", 1.5 + 0j, 3), "q, got (1.5+0j)"),
+        (lambda: build_rep("A", 1.2 + 0j, 5), "q, got (1.2+0j)"),
+        (lambda: energy("B", 1.1 + 0j, 2), "q, got (1.1+0j)"),
+        (lambda: degeneracy_equation("A", 1.5 + 0j, 3, 0), "q, got (1.5+0j)"),
+        (lambda: phi_closed("At", DeformationParams(q=1.5, p=1.1 + 0j), 3), "p, got (1.1+0j)"),
+    ])
+    def test_complex_with_zero_imaginary_part_is_refused_before_the_kernel(self, call, shown):
+        # these reached dsf._phi_at as a complex base and raised TypeError there
+        with pytest.raises(DomainError, match=rf"^phi_closed requires real {re.escape(shown)}$"):
+            call()
 
     @pytest.mark.parametrize("call,context", PARAM_CHECKS)
     def test_float_subclass_takes_the_full_check(self, call, context):

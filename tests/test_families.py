@@ -3,6 +3,7 @@ import math
 import pytest
 
 from defosc import (
+    CoefficientSet,
     DeformationParams,
     DomainError,
     FamilyId,
@@ -208,13 +209,84 @@ class TestRatioRecursions:
 
     @pytest.mark.parametrize("family,q,n_max", [("A", 0.5, 600), ("B", 0.5, 600), ("C", 2.0, 1200)])
     def test_out_of_range_names_the_level(self, family, q, n_max):
+        cs = coefficients(family, q)
         with pytest.raises(DomainError, match="double-precision range at level"):
-            verify_ratio_recursions(coefficients(family, q), q, n_max)
+            verify_ratio_recursions(cs, q, n_max)
+        assert _outcome(verify_ratio_recursions, cs, q, n_max) == _outcome(
+            _per_level_ratio_recursions, cs, q, n_max)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("q", (0.5, 0.9, 1.1, 2.0))
+    @pytest.mark.parametrize("n_max", (2, 30, 300, 1000))
+    def test_matches_the_per_level_loop(self, family, q, n_max):
+        params = params_for(family, q)
+        cs = coefficients(family, params)
+        assert _outcome(verify_ratio_recursions, cs, params, n_max) == _outcome(
+            _per_level_ratio_recursions, cs, params.power_base, n_max)
+
+    @pytest.mark.parametrize("broken", [
+        {"f": lambda n: 2.0 ** (1100 if n == 7 else 0)},  # OverflowError, read by levels 6 and 7
+        {"g": lambda n: 2.0 ** (1100 if n == 7 else 0)},  # read by levels 7 and 8
+        {"h": lambda n: 0.0 if n == 4 else 1.0},  # an underflowed divisor at level 4
+        {"k": lambda n: math.inf if n == 5 else 1.0},  # a silent inf, read by levels 5 and 6
+    ])
+    def test_failing_entries_fail_the_first_level_that_reads_them(self, broken):
+        cs = coefficients("A", 1.0)
+        cs = CoefficientSet(**{"f": cs.f, "g": cs.g, "h": cs.h, "k": cs.k} | broken)
+        for n_max in (2, 5, 6, 10):
+            assert _outcome(verify_ratio_recursions, cs, 1.0, n_max) == _outcome(
+                _per_level_ratio_recursions, cs, 1.0, n_max)
+
+    def test_only_read_level_of_each_coefficient_overflows(self):
+        # k(n) = 2**(2n)/sqrt(2) at D, q = 0.5: k(512) overflows, but level 511
+        # reads k(510) and k(511) only
+        cs = coefficients("D", 0.5)
+        with pytest.raises(OverflowError):
+            cs.k(512)
+        assert verify_ratio_recursions(cs, 0.5, 511) == _per_level_ratio_recursions(cs, 0.5, 511)
+
+    @pytest.mark.parametrize("n_max", (2, 30, 300))
+    def test_each_coefficient_is_evaluated_once_per_level(self, n_max):
+        cs = coefficients("Bt", DeformationParams(q=1.1, p=0.9))
+        calls = {name: [] for name in "fghk"}
+
+        def counted(name):
+            fn = getattr(cs, name)
+            return lambda n: calls[name].append(n) or fn(n)
+
+        counting = CoefficientSet(**{name: counted(name) for name in "fghk"})
+        verify_ratio_recursions(counting, DeformationParams(q=1.1, p=0.9), n_max)
+        # level n reads f and h at n and n + 1, g and k at n - 1 and n
+        assert calls["f"] == calls["h"] == list(range(0, n_max + 2))
+        assert calls["g"] == calls["k"] == list(range(-1, n_max + 1))
 
     def test_detects_broken_quadruple(self):
         cs = coefficients("A", 1.1)
         broken = type(cs)(f=cs.f, g=cs.g, h=lambda n: 1.0 + n, k=cs.k)
         assert verify_ratio_recursions(broken, 1.1, 10) > 1e-3
+
+
+def _per_level_ratio_recursions(cs, x, n_max):
+    """The residual loop of verify_ratio_recursions as it was before its level tables."""
+    worst = 0.0
+    for n in range(0, n_max + 1):
+        try:
+            up = abs(cs.h(n + 1) / cs.h(n) - x * cs.f(n + 1) / cs.f(n))
+            down = abs(cs.k(n - 1) / cs.k(n) - x * cs.g(n - 1) / cs.g(n))
+        except (OverflowError, ZeroDivisionError):
+            up = down = math.inf
+        if not up + down < math.inf:
+            raise DomainError(f"ratio recursions leave the double-precision range at level {n}")
+        worst = max(worst, up + down)
+    return worst
+
+
+def _outcome(fn, *args):
+    """("returns", value) or ("raises", message), compared with == between two routes."""
+    try:
+        return "returns", fn(*args)
+    except DomainError as exc:
+        return "raises", str(exc)
 
 
 class TestRatioKernelDiagnostic:

@@ -24,6 +24,7 @@ from defosc import (
     verify_heisenberg,
     verify_ladder,
 )
+from defosc import fock
 from defosc.fock import MAX_DIM, _Bands, _split_residual
 
 from conftest import ALL_FAMILIES, ONE_PARAM, TWO_PARAM
@@ -124,6 +125,20 @@ class TestBuildRep:
             verify_ladder(dataclasses.replace(rep, family=FamilyId.parse(family),
                                               params=DeformationParams(q=params)))
 
+    def test_override_keeps_no_table(self):
+        q = 1.1
+        rep = build_rep("A", q, 10, phi=lambda n: phi_closed("A", q, n))
+        assert rep._phi is None
+        assert verify_ladder(rep) == verify_ladder(build_rep("A", q, 10))
+
+    def test_table_is_outside_eq_and_repr(self):
+        rep = build_rep("Ct", DeformationParams(q=1.2, p=0.9), 8)
+        assert rep._phi is not None
+        copy = dataclasses.replace(rep)
+        assert copy._phi is None
+        assert copy == rep and repr(copy) == repr(rep)
+        assert "_phi" not in repr(rep)
+
     def test_negative_phi_names_level(self):
         broken = lambda n: -1.0 if n == 4 else float(n)
         with pytest.raises(DomainError, match="phi\\(4\\)"):
@@ -165,6 +180,27 @@ class TestVerifiers:
         assert not verify_heisenberg(rep).passed
         assert not verify_gh_relation(rep).passed
         assert verify_ladder(rep).residual > 1e-10
+
+    @pytest.mark.parametrize("family,q,p", [("A", 1.1, None), ("Bt", 1.1, 0.9), ("D", 0.5, None)])
+    @pytest.mark.parametrize("dim", (3, 30, 300))
+    def test_ladder_reuses_the_closed_form_table(self, monkeypatch, family, q, p, dim):
+        rep = build_rep(family, DeformationParams(q=q, p=p), dim)
+        calls = []
+        phi_at = fock._phi_at
+        monkeypatch.setattr(fock, "_phi_at", lambda *args: calls.append(args) or phi_at(*args))
+        report = verify_ladder(rep)
+        assert calls == []
+        copy = dataclasses.replace(rep)  # drops the table: init=False
+        assert copy._phi is None
+        assert verify_ladder(copy) == report  # recomputed, bit for bit
+        assert [args[2] for args in calls] == list(range(dim + 1))
+
+    def test_swapped_params_recompute_phi(self):
+        rep = build_rep("A", 1.1, 30)
+        assert verify_ladder(rep).passed
+        swapped = dataclasses.replace(rep, params=DeformationParams(q=1.2))
+        assert swapped._phi is None
+        assert not verify_ladder(swapped).passed
 
     def test_nan_amplitude_fails_every_check(self):
         rep = build_rep("A", 1.1, 6)

@@ -18,6 +18,7 @@ from defosc import (
     spectrum,
 )
 from defosc import spectra
+from defosc.cli import main
 
 from conftest import ONE_PARAM, assert_close
 
@@ -106,6 +107,17 @@ class TestGroundStateTable:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             ground_state_table(-1.0)
+
+    @pytest.mark.parametrize("q,shown", [(1e200, "1e+200"), (1e-310, "1e-310")])
+    def test_overflow_names_the_call(self, q, shown):
+        message = f"ground_state_table({shown}) leaves the double-precision range"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            ground_state_table(q)
+
+    def test_values_next_to_the_overflow_are_the_closed_forms(self):
+        for q in (1e154, 1e-200, 1e-300):
+            low, high = q**-1 / (1.0 + q**2), q**2 / (1.0 + q**2)
+            assert ground_state_table(q) == (low, high, low, high)
 
 
 class TestDegeneracyEquation:
@@ -265,6 +277,32 @@ class TestFindDegeneracy:
         monkeypatch.setattr(spectra, "degeneracy_equation", counted)
         assert len(find_degeneracy("A", n, 0, search, tol)) == 1
         assert len(calls) == evaluations
+
+    @pytest.mark.parametrize("via_cli", [False, True])
+    def test_tol_below_the_double_spacing_stops_at_adjacent_doubles(self, monkeypatch, capsys,
+                                                                    via_cli):
+        # the bracket cannot shrink below one ulp of q* ~ 1.0913; the loop used
+        # to spin on a midpoint equal to an endpoint
+        calls = []
+        equation = spectra.degeneracy_equation
+
+        def counted(*args):
+            calls.append(args)
+            assert len(calls) <= 400 + 64, "bisection does not terminate"
+            return equation(*args)
+
+        monkeypatch.setattr(spectra, "degeneracy_equation", counted)
+        if via_cli:
+            assert main(["degeneracy", "--family", "A", "--n", "10", "--m", "0",
+                         "--q-range", "1.001:1.5", "--tol", "1e-17"]) == 0
+            q_lo, q_hi = map(float, capsys.readouterr().out.splitlines()[1].split(",")[4:])
+        else:
+            (root,) = find_degeneracy("A", 10, 0, (1.001, 1.5), 1e-17)
+            q_lo, q_hi = root.bracket
+            assert root.q_star == 0.5 * (q_lo + q_hi)
+        assert math.nextafter(q_lo, math.inf) == q_hi
+        assert abs(q_lo - 1.0913) <= 5e-4
+        assert len(calls) <= 400 + 64
 
     def test_infinite_tol_is_refused(self):
         with pytest.raises(DomainError, match="^tol must be finite, got inf$"):
