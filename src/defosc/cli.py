@@ -23,7 +23,7 @@ import argparse
 import json
 import sys
 
-from .dsf import DeformationParams, FamilyId, _check_level, _check_tol, phi_closed
+from .dsf import DeformationParams, FamilyId, _check_level, _check_tol, _phi_table, phi_closed
 from .errors import DomainError
 from .families import coefficients, verify_ratio_recursions
 from .spectra import find_degeneracy, ground_state_table, spectrum
@@ -96,17 +96,15 @@ def _table_output(args: argparse.Namespace, family: FamilyId | None, header: lis
 def cmd_dsf(args: argparse.Namespace) -> int:
     if args.fig1:
         params = DeformationParams(q=FIG1_Q)
-        rows = [
-            [n] + [phi_closed(fam, params, n) for fam in FIG1_FAMILIES]
-            for n in range(FIG1_N_MAX + 1)
-        ]
+        columns = [_phi_table(FamilyId.parse(fam), params, FIG1_N_MAX + 1) for fam in FIG1_FAMILIES]
+        rows = [[n, *values] for n, values in enumerate(zip(*columns))]
         _table_output(args, None, ["n", "SF1", "SF2", "SF3"], rows,
                       q=FIG1_Q, n_max=FIG1_N_MAX)
         return 0
     family = _family(args)
     params = _params(args)
     _check_level(args.n_max, "n_max")
-    rows = [[n, phi_closed(family, params, n)] for n in range(args.n_max + 1)]
+    rows = [[n, phi] for n, phi in enumerate(_phi_table(family, params, args.n_max + 1))]
     _table_output(args, family, ["n", "phi"], rows, n_max=args.n_max)
     return 0
 

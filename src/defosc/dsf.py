@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from enum import Enum
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Callable, Literal
 import unicodedata
 
@@ -154,6 +154,13 @@ class DeformationParams:
     p: float | complex | None = None
 
     def __post_init__(self):
+        for name in ("q", "p"):
+            value = getattr(self, name)
+            # np.float64, np.float32, ... as the float they hold, so no numpy
+            # scalar arithmetic (with its warnings and inf) reaches the kernels
+            if type(value) is not float and isinstance(value, Real) \
+                    and not isinstance(value, Integral):
+                object.__setattr__(self, name, float(value))  # frozen dataclass
         if self.p is not None and self.p == 0:
             raise DomainError("p = 0 is not admissible (Q = q/p must be finite)")
 
@@ -359,6 +366,13 @@ def phi_closed(family: FamilyId | str, params: DeformationParams | float, n: int
     return _phi_at(family.tag.letter, params.power_base, n, params.p or 1.0)
 
 
+def _phi_table(family: FamilyId, params: DeformationParams, size: int) -> list[float]:
+    """phi_closed(family, params, n) for n < size, with (family, params) checked here, once."""
+    _check_family_params(family, params, "phi_closed", printed=True)
+    letter, x, p = family.tag.letter, params.power_base, params.p or 1.0
+    return [_phi_at(letter, x, n, p) for n in range(size)]
+
+
 def _phi_at(letter: str, x: float, n: int, p: float = 1.0) -> float:
     """phi_closed's value once its arguments are checked: level n of base `letter`.
 
@@ -396,17 +410,23 @@ def phi_from_gh(G: Callable[[int], float], H: Callable[[int], float], n: int) ->
             if not cmath.isfinite(phi):
                 raise DomainError(f"recipe phi({k + 1}) leaves the double-precision range")
     except OverflowError:
-        which = "H" if _overflows(H, k) else "G"
+        which = "G" if _prefix(H, range(k, k + 1)) else "H"  # H(k) evaluates: G(k) failed
         raise DomainError(f"{which}({k}) leaves the double-precision range") from None
     return phi
 
 
-def _overflows(fn: Callable[[int], float], k: int) -> bool:
+def _prefix(fn: Callable[[int], float], levels: range) -> list[float]:
+    """fn over levels, up to the first level where it raises OverflowError or ZeroDivisionError."""
     try:
-        fn(k)
-    except OverflowError:
-        return True
-    return False
+        return [fn(n) for n in levels]
+    except (OverflowError, ZeroDivisionError):
+        values = []
+        for n in levels:
+            try:
+                values.append(fn(n))
+            except (OverflowError, ZeroDivisionError):
+                return values
+        return values
 
 
 def phi_ratio_check(

@@ -14,6 +14,7 @@ from typing import Callable
 
 from .dsf import (
     _EXPONENTS, DeformationParams, FamilyId, _as_params, _check_family_params, _check_level,
+    _prefix,
 )
 from .errors import DomainError
 
@@ -205,20 +206,6 @@ def verify_ratio_recursions(
     if stop <= n_max:
         raise DomainError(f"ratio recursions leave the double-precision range at level {stop}")
     return worst
-
-
-def _prefix(fn: Callable[[int], float], levels: range) -> list[float]:
-    """fn over levels, up to the first level where it raises OverflowError or ZeroDivisionError."""
-    try:
-        return [fn(n) for n in levels]
-    except (OverflowError, ZeroDivisionError):
-        values = []
-        for n in levels:
-            try:
-                values.append(fn(n))
-            except (OverflowError, ZeroDivisionError):
-                return values
-        return values
 
 
 def ratio_kernel_constancy(

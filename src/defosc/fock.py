@@ -4,11 +4,13 @@ Storage: a+ and a- are single off-diagonals, and X and P are tridiagonal
 with a zero diagonal, so a :class:`FockRep` keeps O(D) level vectors: the
 ladder amplitudes sqrt(phi(1..D-1)) and the sub- and super-diagonals of X
 and P.  The dense D x D matrices are read-only properties built on request
-in O(D^2); no library code reads them.  When build_rep evaluates the
-family's closed-form phi(0..D) itself, the rep keeps that table and
-verify_ladder reuses it; a rep built with a ``phi=`` override, built by hand
-or copied with ``dataclasses.replace`` has none, and verify_ladder recomputes
-the closed form.
+in O(D^2); no library code reads them.  The closed-form phi(0..D) comes
+from dsf's one validated table, the one the CLI's dsf tables print.  When
+build_rep evaluates it itself, the rep keeps that table and verify_ladder
+reuses it; a rep built with a ``phi=`` override, built by hand or copied
+with ``dataclasses.replace`` has none, and verify_ladder recomputes it.
+build_rep reads each coefficient only at the levels the bands use: f and h
+at 0..D-2, g and k at 1..D-1.
 
 Band rule: the verifiers hold each operator as {offset: vector} with
 vector[r] = M[r, r + offset], zero where the column leaves the matrix.  The
@@ -36,8 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .dsf import (
-    DeformationParams, FamilyId, _as_params, _check_family_params, _check_level, _check_tol,
-    _overflows, _phi_at,
+    DeformationParams, FamilyId, _as_params, _check_level, _check_tol, _phi_table, _prefix,
 )
 from .errors import DomainError
 from .families import GHPair, coefficients, gh_pair
@@ -189,24 +190,13 @@ class ResidualReport:
 
 
 def _level_values(fn: Callable[[int], float], name: str, levels: range) -> np.ndarray:
-    """fn at Python-int levels; DomainError naming the first value out of double range."""
-    try:
-        values = [fn(n) for n in levels]
-    except OverflowError:
-        first = next(n for n in levels if _overflows(fn, n))
-        raise DomainError(f"{name}({first}) leaves the double-precision range") from None
-    out = np.array(values, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(out))
-    if bad.size:
-        raise DomainError(f"{name}({levels[bad[0]]}) leaves the double-precision range")
-    return out
-
-
-def _closed_form_table(family: FamilyId, params: DeformationParams, size: int) -> np.ndarray:
-    """phi_closed(family, params, n) for n < size, with (family, params) checked here, once."""
-    _check_family_params(family, params, "phi_closed", printed=True)
-    letter, x, p = family.tag.letter, params.power_base, params.p or 1.0
-    return np.array([_phi_at(letter, x, n, p) for n in range(size)])
+    """fn at Python-int levels; DomainError naming the first level that raises or is not finite."""
+    values = np.array(_prefix(fn, levels), dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    stop = bad[0] if bad.size else len(values)  # len(levels) unless fn raised
+    if stop < len(levels):
+        raise DomainError(f"{name}({levels[stop]}) leaves the double-precision range")
+    return values
 
 
 def build_rep(
@@ -237,7 +227,7 @@ def build_rep(
     if not 3 <= dim <= MAX_DIM:
         raise DomainError(f"dim must be in [3, {MAX_DIM}], got {dim}")
     if phi is None:
-        phi_vals = _closed_form_table(family, params, dim + 1)
+        phi_vals = np.array(_phi_table(family, params, dim + 1))
     else:
         phi_vals = _level_values(phi, "phi", range(dim + 1))
     negative = np.flatnonzero(phi_vals < 0)
@@ -247,15 +237,16 @@ def build_rep(
     roots = np.sqrt(phi_vals[1:dim])  # sqrt(phi(1)) .. sqrt(phi(D-1))
 
     cs = coefficients(family, params)
-    levels = range(dim)
-    f, g, h, k = (_level_values(fn, name, levels)
-                  for name, fn in zip("fghk", (cs.f, cs.g, cs.h, cs.k)))
-    # X = f(N) a- + g(N) a+ and P = i (k(N) a+ - h(N) a-), row by row
+    # X = f(N) a- + g(N) a+ and P = i (k(N) a+ - h(N) a-), row by row: the
+    # super-diagonals read f and h at 0..D-2, the sub-diagonals g and k at 1..D-1
+    lower, upper = range(dim - 1), range(1, dim)
+    f, g = _level_values(cs.f, "f", lower), _level_values(cs.g, "g", upper)
+    h, k = _level_values(cs.h, "h", lower), _level_values(cs.k, "k", upper)
     rep = FockRep(family=family, params=params, dim=dim, ladder=roots,
-                  x_sub=(g[1:] * roots).astype(complex),
-                  x_sup=(f[:-1] * roots).astype(complex),
-                  p_sub=1j * (k[1:] * roots),
-                  p_sup=-1j * (h[:-1] * roots))
+                  x_sub=(g * roots).astype(complex),
+                  x_sup=(f * roots).astype(complex),
+                  p_sub=1j * (k * roots),
+                  p_sup=-1j * (h * roots))
     if phi is None:
         object.__setattr__(rep, "_phi", phi_vals)  # frozen dataclass
     return rep
@@ -329,7 +320,7 @@ def verify_ladder(rep: FockRep, tol: float = 1e-10) -> ResidualReport:
     abs_ap, abs_am, abs_num = abs(ap), abs(am), abs(num)
     phi_vals = rep._phi
     if phi_vals is None:
-        phi_vals = _closed_form_table(rep.family, rep.params, rep.dim + 1)
+        phi_vals = np.array(_phi_table(rep.family, rep.params, rep.dim + 1))
     steps = _Bands({0: phi_vals[1:] - phi_vals[:-1]})
     step_scale = _Bands({0: np.abs(phi_vals[1:]) + np.abs(phi_vals[:-1])})
     checks = (

@@ -102,7 +102,9 @@ def degeneracy_equation(family: FamilyId | str, q: float, n: int, m: int) -> flo
     # check; anything else takes phi_closed's checks in full
     if not (type(q) is float and 0 < q < math.inf) or family.two_parameter \
             or (family.c0, family.d0) != (1.0, 1.0):
-        _check_family_params(family, DeformationParams(q=q), "phi_closed", printed=True)
+        params = DeformationParams(q=q)
+        _check_family_params(family, params, "phi_closed", printed=True)
+        q = params.q  # a numpy float as the float it holds
     letter = family.tag.letter
     phi_n = _phi_at(letter, q, n)
     e_n = 0.5 * (_phi_at(letter, q, n + 1) + phi_n)
@@ -191,19 +193,15 @@ def find_degeneracy(
     roots: list[DegeneracyRoot] = []
     for lo, hi in segments:
         step = (hi - lo) / (grid - 1)
-        prev_q, prev_f = lo, f(lo)
-        for i in range(1, grid):
-            cur_q = lo + i * step if i < grid - 1 else hi
-            cur_f = f(cur_q)
-            if prev_f == 0.0:
+        qs = [lo + i * step for i in range(grid - 1)] + [hi]
+        values = [f(q) for q in qs]
+        # the last point has no right neighbour: pad with a 0.0, which is never bisected
+        for q, value, q_next, next_value in zip(qs, values, qs[1:] + [hi], values[1:] + [0.0]):
+            if value == 0.0:
                 half = 0.5 * tol
-                roots.append(DegeneracyRoot(n, m, prev_q, 0.0, (prev_q - half, prev_q + half)))
-            elif (prev_f < 0) != (cur_f < 0) and cur_f != 0.0:
-                q_star, bracket = _bisect(f, prev_q, cur_q, prev_f, tol)
+                roots.append(DegeneracyRoot(n, m, q, 0.0, (q - half, q + half)))
+            elif (value < 0) != (next_value < 0) and next_value != 0.0:
+                q_star, bracket = _bisect(f, q, q_next, value, tol)
                 roots.append(DegeneracyRoot(n, m, q_star, abs(f(q_star)), bracket))
-            prev_q, prev_f = cur_q, cur_f
-        if prev_f == 0.0:
-            half = 0.5 * tol
-            roots.append(DegeneracyRoot(n, m, prev_q, 0.0, (prev_q - half, prev_q + half)))
     roots.sort(key=lambda r: r.q_star)
     return roots

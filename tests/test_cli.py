@@ -212,6 +212,15 @@ class TestErrorPaths:
         assert code == 2
         assert "family" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (("dsf", "--q", "1.1"), "--family is required for this command"),
+        (("degeneracy", "--family", "A", "--n", "10", "--m", "0"),
+         "--q-range lo:hi is required for degeneracy searches"),
+    ])
+    def test_missing_required_option_is_domain_error(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_missing_q(self, capsys):
         code, _, err = run(capsys, "spectrum", "--family", "A")
         assert code == 2
@@ -236,6 +245,12 @@ class TestErrorPaths:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "double-precision range" in lines[0]
+
+    def test_unread_coefficient_overflow_is_left_to_the_ratio_recursions(self, capsys):
+        # build_rep at D = 513 never reads f(512); verify_ratio_recursions(n_max = 513) does
+        code, out, err = run(capsys, "verify", "--family", "C", "--q", "0.5", "--dim", "513")
+        assert (code, out) == (2, "")
+        assert err == "error: ratio recursions leave the double-precision range at level 511\n"
 
     @pytest.mark.parametrize("tol, shown", [("nan", "nan"), ("0", "0.0"), ("-1", "-1.0")])
     def test_bad_verify_tolerance_is_domain_error(self, capsys, tol, shown):

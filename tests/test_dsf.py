@@ -19,9 +19,13 @@ from defosc import (
     degeneracy_equation,
     energy,
     gh_pair,
+    ground_state_table,
     phi_closed,
     phi_from_gh,
     phi_ratio_check,
+    verify_gh_relation,
+    verify_heisenberg,
+    verify_ladder,
 )
 from defosc import dsf
 
@@ -183,10 +187,90 @@ class TestParameterChecks:
 
     @pytest.mark.parametrize("call,context", PARAM_CHECKS)
     def test_float_subclass_takes_the_full_check(self, call, context):
-        # np.float64 is not type float: it passes the full check with the same value
+        # np.float64 is not type float: DeformationParams keeps the float it holds
         assert call("B", np.float64(1.1)) == call("B", 1.1)
         two = DeformationParams(q=np.float64(1.2), p=np.float64(1.1))
         assert call("Bt", two) == call("Bt", DeformationParams(q=1.2, p=1.1))
+
+
+def _numpy_outcome(call):
+    """("returns", type, repr) or ("raises", type, message): equal only when bit-identical."""
+    try:
+        value = call()
+    except (ArithmeticError, DomainError) as exc:  # a warning raised as an error propagates
+        return "raises", type(exc), str(exc)
+    return "returns", type(value), repr(value)
+
+
+class TestNumpyScalarParameters:
+    """A numpy float q or p is stored as the Python float it holds, so it takes the float paths."""
+
+    @pytest.mark.parametrize("scalar", [np.float64, np.float32, np.float16])
+    def test_stored_as_the_float_it_holds(self, scalar):
+        params = DeformationParams(q=scalar(1.1), p=scalar(0.9))
+        assert (type(params.q), type(params.p)) == (float, float)
+        assert (params.q, params.p) == (float(scalar(1.1)), float(scalar(0.9)))
+
+    def test_integers_and_complex_values_are_kept(self):
+        assert type(DeformationParams(q=2).q) is int
+        assert type(DeformationParams(q=np.int64(2)).q) is np.int64
+        assert type(DeformationParams(q=np.complex128(1j)).q) is np.complex128
+        assert DeformationParams(q=1.1, p=None).p is None
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call,message", [
+        (lambda q: ground_state_table(q(1e200)),
+         r"ground_state_table\(1e\+200\) leaves the double-precision range"),
+        (lambda q: phi_closed("A", q(0.5), 600),
+         r"phi\(600\) leaves the double-precision range at base 0.5"),
+        (lambda q: build_rep("A", q(0.5), 600),
+         r"phi\(512\) leaves the double-precision range at base 0.5"),
+    ])
+    def test_out_of_range_is_a_domain_error_without_warnings(self, call, message):
+        # np.float64 overflowed with a RuntimeWarning (an error here) and went on with inf
+        for scalar in (float, np.float64):
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                call(scalar)
+
+    @pytest.mark.filterwarnings("error")
+    def test_coefficient_overflow_is_that_of_the_float(self):
+        # at the parent np.float64 returned np.float64(inf) here
+        assert _numpy_outcome(lambda: coefficients("B", np.float64(0.5)).f(600)) == \
+            _numpy_outcome(lambda: coefficients("B", 0.5).f(600))
+
+    @pytest.mark.filterwarnings("error")
+    def test_single_precision_is_widened_once(self):
+        value = phi_closed("A", np.float32(1.1), 5)
+        assert type(value) is float
+        assert value == phi_closed("A", float(np.float32(1.1)), 5) != phi_closed("A", 1.1, 5)
+        assert type(degeneracy_equation("A", np.float32(1.09), 10, 0)) is float
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("q,p", [(0.5, 0.9), (0.9, 1.3), (1.1, 0.9), (2.0, 1.3)])
+    def test_values_are_bit_identical_to_the_float(self, family, q, p):
+        two = FamilyTag.parse(family).two_parameter
+
+        def outcomes(scalar):
+            params = DeformationParams(q=scalar(q), p=scalar(p) if two else None)
+            cs, pair = coefficients(family, params), gh_pair(family, params)
+            calls = [lambda n=n: phi_closed(family, params, n) for n in (0, 1, 7, 60, 300)]
+            calls += [lambda n=n: energy(family, params, n) for n in (0, 7, 300)]
+            calls += [lambda fn=fn, n=n: fn(n)
+                      for fn in (cs.f, cs.g, cs.h, cs.k) for n in (-1, 0, 7, 300)]
+            calls += [lambda fn=fn, n=n: fn(n) for fn in (pair.G, pair.H) for n in (0, 7, 300)]
+            calls.append(lambda: phi_from_gh(pair.G, pair.H, 40))
+            calls.append(lambda: [report.residual for report in _verified(
+                build_rep(family, params, 30))])
+            if not two:
+                calls.append(lambda: degeneracy_equation(family, scalar(q), 10, 0))
+            return [_numpy_outcome(call) for call in calls]
+
+        assert outcomes(np.float64) == outcomes(float)
+
+
+def _verified(rep):
+    return verify_heisenberg(rep), verify_gh_relation(rep), verify_ladder(rep)
 
 
 class TestPhiClosed:

@@ -24,7 +24,7 @@ from defosc import (
     verify_heisenberg,
     verify_ladder,
 )
-from defosc import fock
+from defosc import dsf, fock
 from defosc.fock import MAX_DIM, _Bands, _split_residual
 
 from conftest import ALL_FAMILIES, ONE_PARAM, TWO_PARAM
@@ -186,8 +186,8 @@ class TestVerifiers:
     def test_ladder_reuses_the_closed_form_table(self, monkeypatch, family, q, p, dim):
         rep = build_rep(family, DeformationParams(q=q, p=p), dim)
         calls = []
-        phi_at = fock._phi_at
-        monkeypatch.setattr(fock, "_phi_at", lambda *args: calls.append(args) or phi_at(*args))
+        phi_at = dsf._phi_at
+        monkeypatch.setattr(dsf, "_phi_at", lambda *args: calls.append(args) or phi_at(*args))
         report = verify_ladder(rep)
         assert calls == []
         copy = dataclasses.replace(rep)  # drops the table: init=False
@@ -267,9 +267,45 @@ class TestBandStorage:
         with pytest.raises(DomainError, match=r"f\(512\) leaves the double-precision range"):
             build_rep("C", 0.5, 530)
 
+    def test_unread_coefficient_level_may_overflow(self):
+        # X[n, n+1] reads f(n) for n <= D - 2 = 511 only; f(512) overflows unread
+        with pytest.raises(OverflowError):
+            coefficients("C", 0.5).f(512)
+        rep = build_rep("C", 0.5, 513)
+        for report in (verify_heisenberg(rep), verify_gh_relation(rep), verify_ladder(rep)):
+            assert report.residual <= 1e-15, report
+
+    def test_each_coefficient_is_evaluated_at_the_levels_it_reads(self, monkeypatch):
+        calls = {name: [] for name in "fghk"}
+
+        def counting(family, params):
+            cs = coefficients(family, params)
+            return type(cs)(**{name: (lambda n, name=name: calls[name].append(n)
+                                      or getattr(cs, name)(n)) for name in "fghk"})
+
+        monkeypatch.setattr(fock, "coefficients", counting)
+        plain = build_rep("Bt", DeformationParams(q=1.1, p=0.9), 7)
+        monkeypatch.undo()
+        assert calls["f"] == calls["h"] == list(range(0, 6))
+        assert calls["g"] == calls["k"] == list(range(1, 7))
+        rep = build_rep("Bt", DeformationParams(q=1.1, p=0.9), 7)
+        for name in ("ladder", "x_sub", "x_sup", "p_sub", "p_sup"):
+            assert np.array_equal(getattr(plain, name), getattr(rep, name))
+
+    @pytest.mark.parametrize("phi,level", [
+        (lambda n: n / (5 - n), 5),  # ZeroDivisionError
+        (lambda n: 2.0 ** (1100 if n == 6 else n), 6),  # OverflowError
+        (lambda n: math.inf if n == 3 else n / (5 - n), 3),  # inf before the raise
+    ])
+    def test_failing_override_names_the_level(self, phi, level):
+        with pytest.raises(DomainError, match=rf"^phi\({level}\) leaves the double-precision range$"):
+            build_rep("A", 1.1, 8, phi=phi)
+
     @pytest.mark.parametrize("broken,match", [
         (GHPair(G=lambda n: 1.0, H=lambda n: 10.0 ** (400 if n == 3 else 0)), r"H\(3\)"),
         (GHPair(G=lambda n: math.inf if n == 2 else 1.0, H=lambda n: 1.0), r"G\(2\)"),
+        (GHPair(G=lambda n: 1.0, H=lambda n: 1.0 / (4 - n)), r"H\(4\)"),  # ZeroDivisionError
+        (GHPair(G=lambda n: 1.0 / (n - 2), H=lambda n: 1.0), r"G\(2\)"),
     ])
     def test_gh_overflow_names_the_level(self, broken, match):
         rep = build_rep("A", 1.0, 6)

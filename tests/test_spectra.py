@@ -308,6 +308,60 @@ class TestFindDegeneracy:
         with pytest.raises(DomainError, match="^tol must be finite, got inf$"):
             find_degeneracy("A", 10, 0, (1.001, 1.5), math.inf)
 
+
+class TestFindDegeneracyScan:
+    """The scan itself, on a stand-in equation q - zero whose grid points are exact doubles."""
+
+    @staticmethod
+    def _scan(monkeypatch, zero, search, grid, tol=1e-6):
+        calls = []
+
+        def line(family, q, n, m):
+            calls.append(q)
+            return q - zero
+
+        monkeypatch.setattr(spectra, "degeneracy_equation", line)
+        return find_degeneracy("A", 3, 0, search, tol, grid=grid), calls
+
+    @pytest.mark.parametrize("zero", [1.5, 2.0, 2.5])  # first, interior and last grid point
+    def test_exact_zero_on_the_grid_is_a_root(self, monkeypatch, zero):
+        roots, calls = self._scan(monkeypatch, zero, (1.5, 2.5), 5)
+        assert roots == [spectra.DegeneracyRoot(3, 0, zero, 0.0, (zero - 5e-7, zero + 5e-7))]
+        assert calls == [1.5, 1.75, 2.0, 2.25, 2.5]  # no bisection
+
+    def test_exact_zero_at_a_bisection_midpoint_stops_there(self, monkeypatch):
+        roots, calls = self._scan(monkeypatch, 2.0, (1.5, 2.5), 2)
+        assert roots == [spectra.DegeneracyRoot(3, 0, 2.0, 0.0, (2.0 - 5e-7, 2.0 + 5e-7))]
+        assert calls == [1.5, 2.5, 2.0, 2.0]  # grid, one midpoint, the residual
+
+    def test_sign_change_between_grid_points_is_bisected(self, monkeypatch):
+        roots, calls = self._scan(monkeypatch, 2.1, (1.5, 2.5), 5, tol=1e-3)
+        (root,) = roots
+        assert root.bracket[1] - root.bracket[0] <= 1e-3
+        assert root.bracket[0] < 2.1 < root.bracket[1]
+        assert root.residual == abs(root.q_star - 2.1)
+        # grid, ceil(log2(0.25 / 1e-3)) = 8 midpoints, the residual
+        assert {1.5, 1.75, 2.0, 2.25, 2.5} <= set(calls) and len(calls) == 5 + 8 + 1
+
+    def test_zeros_on_both_sides_of_the_guard_band_come_out_in_order(self, monkeypatch):
+        calls = []
+
+        def two_zeros(family, q, n, m):
+            calls.append(q)
+            return (q - 0.5) * (q - 1.5)
+
+        monkeypatch.setattr(spectra, "degeneracy_equation", two_zeros)
+        # the zeros sit on the first point of the lower and the last of the upper segment
+        roots = find_degeneracy("A", 3, 0, (0.5, 1.5), 1e-6, grid=3)
+        assert [(root.q_star, root.residual) for root in roots] == [(0.5, 0.0), (1.5, 0.0)]
+        lo, hi = 1.0 - spectra.GUARD_BAND, 1.0 + spectra.GUARD_BAND
+        assert calls == [0.5, 0.5 + (lo - 0.5) / 2, lo, hi, hi + (1.5 - hi) / 2, 1.5]
+
+    @pytest.mark.parametrize("search", [(0.99995, 1.00005), (0.9999, 1.0001), (1.00001, 1.00009)])
+    def test_search_inside_the_guard_band_is_empty(self, monkeypatch, search):
+        roots, calls = self._scan(monkeypatch, 1.0, search, 400)
+        assert roots == [] and calls == []
+
     def test_expanded_form_is_scaled_energy_difference(self):
         # the polynomial rewrite equals (E(n)-E(0)) times an explicit positive
         # multiplier for q > 1, so both vanish at the same roots
