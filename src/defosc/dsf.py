@@ -16,7 +16,6 @@ and strictly positive (complex unit-circle parameters are the business of
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
 from enum import Enum
 from numbers import Integral, Real
 from typing import Callable, Literal
@@ -108,17 +107,47 @@ _SPELLINGS = {
 }
 
 
-@dataclass(frozen=True)
-class FamilyId:
+class _Record:
+    """A frozen value object over its ``__slots__`` fields: ``==``, ``hash`` and ``repr``
+    as a frozen dataclass has them; pickle and copy rebuild it through its constructor."""
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return self.__class__, tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__reduce__() == other.__reduce__()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__()[1])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r} of a frozen record")
+    __delattr__ = __setattr__
+
+
+class FamilyId(_Record):
     """A coefficient family together with the ratio constants c(0), d(0).
 
     The defaults c0 = d0 = 1 select the printed solutions; other values feed
     the general construction in :func:`defosc.families.general_gh`.
     """
 
-    tag: FamilyTag
-    c0: float = 1.0
-    d0: float = 1.0
+    __slots__ = ("tag", "c0", "d0")
+
+    def __init__(self, tag: FamilyTag, c0: float = 1.0, d0: float = 1.0):
+        self._init(tag, c0, d0)
 
     @classmethod
     def parse(cls, value: "FamilyId | FamilyTag | str") -> "FamilyId":
@@ -146,23 +175,19 @@ _PRINTED = {tag: FamilyId(tag) for tag in FamilyTag}
 _PRINTED_SPELLINGS = {spelling: _PRINTED[tag] for spelling, tag in _SPELLINGS.items()}
 
 
-@dataclass(frozen=True)
-class DeformationParams:
+class DeformationParams(_Record):
     """Deformation parameters: q alone, or q and p with derived Q = q/p."""
 
-    q: float | complex
-    p: float | complex | None = None
+    __slots__ = ("q", "p")
 
-    def __post_init__(self):
-        for name in ("q", "p"):
-            value = getattr(self, name)
-            # np.float64, np.float32, ... as the float they hold, so no numpy
-            # scalar arithmetic (with its warnings and inf) reaches the kernels
-            if type(value) is not float and isinstance(value, Real) \
-                    and not isinstance(value, Integral):
-                object.__setattr__(self, name, float(value))  # frozen dataclass
-        if self.p is not None and self.p == 0:
+    def __init__(self, q: float | complex, p: float | complex | None = None):
+        # a numpy real scalar as the Python float or int it holds: no numpy arithmetic in the kernels
+        q, p = [v if type(v) is float or v is None or isinstance(v, int) or not isinstance(v, Real)
+                else (int if isinstance(v, Integral) else float)(v) for v in (q, p)]
+        if p is not None and p == 0:
             raise DomainError("p = 0 is not admissible (Q = q/p must be finite)")
+        object.__setattr__(self, "q", q)  # not _init's loop: built per call given a bare q
+        object.__setattr__(self, "p", p)
 
     @property
     def two_parameter(self) -> bool:
@@ -396,8 +421,8 @@ def phi_from_gh(G: Callable[[int], float], H: Callable[[int], float], n: int) ->
         phi(k+1) = (1 + G(k) phi(k)) / H(k).
 
     Reads H(0..n-1) and G(1..n-1).  Raises SingularRecipeError naming k when
-    H(k) = 0, and DomainError naming the level when phi, or G(k) or H(k)
-    with an OverflowError, leaves the double-precision range.
+    H(k) = 0, and DomainError naming the level when phi leaves the double range
+    or G(k) or H(k) raises OverflowError or ZeroDivisionError.
     """
     _check_level(n)
     phi = 0.0
@@ -409,7 +434,7 @@ def phi_from_gh(G: Callable[[int], float], H: Callable[[int], float], n: int) ->
             phi = (1.0 + G(k) * phi) / h if k else 1.0 / h  # G(0) meets phi(0) = 0
             if not cmath.isfinite(phi):
                 raise DomainError(f"recipe phi({k + 1}) leaves the double-precision range")
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         which = "G" if _prefix(H, range(k, k + 1)) else "H"  # H(k) evaluates: G(k) failed
         raise DomainError(f"{which}({k}) leaves the double-precision range") from None
     return phi
@@ -456,14 +481,14 @@ def phi_ratio_check(
 Provenance = Literal["closed-form", "recipe", "symmetrized"]
 
 
-@dataclass(frozen=True)
-class StructureFunction:
+class StructureFunction(_Record):
     """An evaluatable phi(n) tagged with how it was obtained."""
 
-    family: FamilyId
-    params: DeformationParams
-    kind: Provenance = "closed-form"
-    _gh: "tuple[Callable, Callable] | None" = field(default=None, repr=False)
+    __slots__ = ("family", "params", "kind")
+
+    def __init__(self, family: FamilyId, params: DeformationParams,
+                 kind: Provenance = "closed-form"):
+        self._init(family, params, kind)
 
     @classmethod
     def closed_form(cls, family, params) -> "StructureFunction":
@@ -475,12 +500,9 @@ class StructureFunction:
     @classmethod
     def from_gh(cls, family, params) -> "StructureFunction":
         """Recipe-reconstructed phi using the family's own (G, H) pair."""
-        from . import families as _families
-
-        family = FamilyId.parse(family)
-        params = _as_params(params)
-        pair = _families.gh_pair(family, params)
-        return cls(family, params, "recipe", _gh=(pair.G, pair.H))
+        recipe = cls(FamilyId.parse(family), _as_params(params), "recipe")
+        recipe(0)  # builds the pair, so gh_pair refuses a bad (family, params) here
+        return recipe
 
     @classmethod
     def symmetrized(cls, family, q) -> "StructureFunction":
@@ -491,7 +513,10 @@ class StructureFunction:
         if self.kind == "closed-form":
             return phi_closed(self.family, self.params, n)
         if self.kind == "recipe":
-            return phi_from_gh(self._gh[0], self._gh[1], n)
+            from . import families as _families
+
+            pair = _families.gh_pair(self.family, self.params)
+            return phi_from_gh(pair.G, pair.H, n)
         from . import symmetry as _symmetry
 
         return _symmetry.phi_symmetrized(self.family, self.params.q, n)

@@ -9,12 +9,11 @@ the deformation base (q for A-D, Q = q/p for At-Dt) divided by sqrt(2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .dsf import (
     _EXPONENTS, DeformationParams, FamilyId, _as_params, _check_family_params, _check_level,
-    _prefix,
+    _prefix, _Record,
 )
 from .errors import DomainError
 
@@ -32,27 +31,28 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class CoefficientSet:
+class CoefficientSet(_Record):
     """The quadruple of operator-coefficient functions of one family."""
 
-    f: Callable[[int], float]
-    g: Callable[[int], float]
-    h: Callable[[int], float]
-    k: Callable[[int], float]
+    __slots__ = ("f", "g", "h", "k")
+
+    def __init__(self, f: Callable[[int], float], g: Callable[[int], float],
+                 h: Callable[[int], float], k: Callable[[int], float]):
+        self._init(f, g, h, k)
 
 
-@dataclass(frozen=True)
-class GHPair:
+class GHPair(_Record):
     """Operator functions of the relation H(N) a- a+ - G(N) a+ a- = 1.
 
     ``R`` is the ratio kernel R(N) = f(N-1) k(N) exposed by the general
     construction; it is None for the printed family pairs.
     """
 
-    G: Callable[[int], float]
-    H: Callable[[int], float]
-    R: Callable[[int], float] | None = None
+    __slots__ = ("G", "H", "R")
+
+    def __init__(self, G: Callable[[int], float], H: Callable[[int], float],
+                 R: Callable[[int], float] | None = None):
+        self._init(G, H, R)
 
 
 def shift_power(family: FamilyId | str) -> int:

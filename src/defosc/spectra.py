@@ -8,11 +8,10 @@ located by a sign-change scan plus bisection in q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .dsf import (
     DeformationParams, FamilyId, _as_params, _check_family_params, _check_level, _check_tol,
-    _in_range, _phi_at, phi_closed,
+    _in_range, _phi_at, _Record, phi_closed,
 )
 from .errors import DomainError
 
@@ -32,24 +31,22 @@ __all__ = [
 GUARD_BAND = 1e-4
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(_Record):
     """Energy table of one family: list of (n, E(n)) pairs."""
 
-    family: FamilyId
-    params: DeformationParams
-    energies: tuple[tuple[int, float], ...]
+    __slots__ = ("family", "params", "energies")
+
+    def __init__(self, family: FamilyId, params: DeformationParams, energies: tuple):
+        self._init(family, params, energies)
 
 
-@dataclass(frozen=True)
-class DegeneracyRoot:
+class DegeneracyRoot(_Record):
     """A solved parameter value q* with E(n) = E(m), plus solver evidence."""
 
-    n: int
-    m: int
-    q_star: float
-    residual: float
-    bracket: tuple[float, float]
+    __slots__ = ("n", "m", "q_star", "residual", "bracket")
+
+    def __init__(self, n: int, m: int, q_star: float, residual: float, bracket: tuple[float, float]):
+        self._init(n, m, q_star, residual, bracket)
 
 
 def energy(family: FamilyId | str, params: DeformationParams | float, n: int) -> float:

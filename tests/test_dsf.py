@@ -213,9 +213,25 @@ class TestNumpyScalarParameters:
 
     def test_integers_and_complex_values_are_kept(self):
         assert type(DeformationParams(q=2).q) is int
-        assert type(DeformationParams(q=np.int64(2)).q) is np.int64
         assert type(DeformationParams(q=np.complex128(1j)).q) is np.complex128
         assert DeformationParams(q=1.1, p=None).p is None
+
+    @pytest.mark.parametrize("scalar", [np.int64, np.int32])
+    def test_integers_stored_as_the_int_they_hold(self, scalar):
+        # kept as np.int64, q would meet x ** (negative int) in the kernels: a raw ValueError
+        params = DeformationParams(q=scalar(2), p=scalar(3))
+        assert (type(params.q), type(params.p)) == (int, int)
+        assert _numpy_outcome(lambda: phi_closed("A", scalar(2), 3)) == \
+            _numpy_outcome(lambda: phi_closed("A", 2, 3))
+        for family in ALL_FAMILIES:
+            two = FamilyTag.parse(family).two_parameter
+            for n in (0, 1, 7, 60):
+                assert _numpy_outcome(lambda: phi_closed(
+                    family, DeformationParams(scalar(2), scalar(3) if two else None), n)) == \
+                    _numpy_outcome(lambda: phi_closed(
+                        family, DeformationParams(2, 3 if two else None), n))
+        with pytest.raises(DomainError, match=r"^p = 0 is not admissible"):
+            DeformationParams(q=scalar(2), p=scalar(0))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("call,message", [
@@ -448,6 +464,11 @@ class TestPhiFromGH:
             phi_from_gh(pair.G, pair.H, 400)
         with pytest.raises(DomainError, match=r"^G\(2\) leaves the double-precision range$"):
             phi_from_gh(lambda n: 2.0 ** (600 * n), lambda n: 1.0, 5)
+        # a G or H that divides by zero is named the same way, not a raw ZeroDivisionError
+        with pytest.raises(DomainError, match=r"^G\(2\) leaves the double-precision range$"):
+            phi_from_gh(lambda n: 1 / (n - 2), lambda n: 1.0, 5)
+        with pytest.raises(DomainError, match=r"^H\(3\) leaves the double-precision range$"):
+            phi_from_gh(lambda n: 1.0, lambda n: 1 / (n - 3), 5)
 
     @given(st.sampled_from(ALL_FAMILIES),
            st.floats(min_value=0.85, max_value=1.25),

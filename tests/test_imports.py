@@ -35,16 +35,36 @@ def cli_probe(*argv: str) -> dict:
     return json.loads(fresh(_CLI_PROBE, *argv).stderr.splitlines()[-1])
 
 
-@pytest.mark.parametrize("argv", [
+SCALAR_ARGVS = [
     ("dsf", "--family", "A", "--q", "1.1", "--n-max", "5"),
     ("dsf", "--family", "At", "--q", "1.2", "--p", "1.1", "--format", "json"),
     ("dsf", "--fig1"),
     ("spectrum", "--family", "B", "--q", "1.1", "--n-max", "5", "--format", "json"),
     ("degeneracy", "--family", "A", "--n", "10", "--m", "0", "--q-range", "1.001:1.5",
      "--tol", "1e-6"),
-])
+]
+
+
+@pytest.mark.parametrize("argv", SCALAR_ARGVS)
 def test_scalar_commands_do_not_load_numpy(argv):
     assert cli_probe(*argv) == {"code": 0, "numpy": False}
+
+
+# dataclasses pulls in inspect, ast, dis and tokenize: about 20 ms of a fresh CLI
+# process on a 2-vCPU host
+_SLOW_IMPORTS_PROBE = """
+import sys
+print(sorted({"dataclasses", "inspect"} & set(sys.modules)), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("code,argv", [
+    pytest.param("import defosc", (), id="import-defosc"),
+    pytest.param("import defosc.cli", (), id="import-defosc.cli"),
+    *(pytest.param(_CLI_PROBE, argv, id=f"argv{i}") for i, argv in enumerate(SCALAR_ARGVS)),
+])
+def test_scalar_path_does_not_load_dataclasses(code, argv):
+    assert fresh(code + _SLOW_IMPORTS_PROBE, *argv).stderr.splitlines()[-1] == "[]"
 
 
 def test_verify_loads_numpy():
