@@ -204,10 +204,10 @@ class DeformationParams(_Record):
         return self.q if self.p is None else self.q / self.p
 
     def require_real_positive(self, context: str = "this operation") -> None:
-        """Reject complex or nonpositive parameters (core-family domain)."""
+        """Reject complex or nonpositive parameters, or a Q = q/p out of range (core-family domain)."""
         q, p = self.q, self.p
         if (type(q) is float and 0 < q < _INF
-                and (p is None or type(p) is float and 0 < p < _INF)):
+                and (p is None or type(p) is float and 0 < p < _INF and 0 < q / p < _INF)):
             return
         for name, value in (("q", q), ("p", p)):
             if value is None:
@@ -216,6 +216,8 @@ class DeformationParams(_Record):
                 raise DomainError(f"{context} requires real {name}, got {value!r}")
             if not 0 < value < _INF:
                 raise DomainError(f"{context} requires finite {name} > 0, got {value!r}")
+        if p is not None and not 0 < q / p < _INF:  # the power base: Q under- or overflows
+            raise DomainError(f"{context} requires finite Q = q/p > 0, got {q / p!r}")
 
 
 def _as_params(params: DeformationParams | float) -> DeformationParams:
@@ -348,7 +350,7 @@ def _phi_power_base(
         qbr = (1.0 - x**n) / (1.0 - x)
         lead = x ** (a * n + b)
         value = 2.0 * lead * qbr * (1.0 + x ** (1 - n)) / (d1 * d2) / p
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # complex x**(1-n) divides by an underflowed 0
         lead = value = _INF
     if real:
         if lead >= _MIN_NORMAL and _MIN_NORMAL <= value < _INF:
@@ -422,22 +424,26 @@ def phi_from_gh(G: Callable[[int], float], H: Callable[[int], float], n: int) ->
 
     Reads H(0..n-1) and G(1..n-1).  Raises SingularRecipeError naming k when
     H(k) = 0, and DomainError naming the level when phi leaves the double range
-    or G(k) or H(k) raises OverflowError or ZeroDivisionError.
+    or G(k) or H(k) raises OverflowError or ZeroDivisionError or is not finite.
     """
     _check_level(n)
     phi = 0.0
     try:
         for k in range(n):
             h = H(k)
-            if h == 0:
-                raise SingularRecipeError("H", k)
             phi = (1.0 + G(k) * phi) / h if k else 1.0 / h  # G(0) meets phi(0) = 0
-            if not cmath.isfinite(phi):
-                raise DomainError(f"recipe phi({k + 1}) leaves the double-precision range")
+            if h - h or not cmath.isfinite(phi):  # h - h is nan, which is true, at h = inf or nan
+                break
+        else:
+            return phi
     except (OverflowError, ZeroDivisionError):
-        which = "G" if _prefix(H, range(k, k + 1)) else "H"  # H(k) evaluates: G(k) failed
-        raise DomainError(f"{which}({k}) leaves the double-precision range") from None
-    return phi
+        pass
+    # level k failed: H(k) is zero or out of range, else G(k) is out of range, else phi(k + 1)
+    if _levels(H, "H", range(k, k + 1)) == [0]:
+        raise SingularRecipeError("H", k)
+    if k:
+        _levels(G, "G", range(k, k + 1))
+    raise DomainError(f"recipe phi({k + 1}) leaves the double-precision range")
 
 
 def _prefix(fn: Callable[[int], float], levels: range) -> list[float]:
@@ -452,6 +458,16 @@ def _prefix(fn: Callable[[int], float], levels: range) -> list[float]:
             except (OverflowError, ZeroDivisionError):
                 return values
         return values
+
+
+def _levels(fn: Callable[[int], float], stage: str, levels: range) -> list[float]:
+    """fn over levels; DomainError naming the first level that raises or is not finite."""
+    values = _prefix(fn, levels)
+    if len(values) == len(levels) and all(map(cmath.isfinite, values)):
+        return values
+    # the first non-finite value, else the level where fn raised, which the inf stands for
+    bad = next(n for n, value in zip(levels, values + [_INF]) if not cmath.isfinite(value))
+    raise DomainError(f"{stage}({bad}) leaves the double-precision range")
 
 
 def phi_ratio_check(

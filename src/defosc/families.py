@@ -73,21 +73,8 @@ def coefficients(family: FamilyId | str, params: DeformationParams | float) -> C
     _check_family_params(family, params, "coefficients")
     x = params.power_base
     ef, ek = _EXPONENTS[family.tag.letter]
-    c0, d0 = family.c0, family.d0
-
-    def f(n: int) -> float:
-        return x ** (ef * n) / _SQRT2
-
-    def g(n: int) -> float:
-        return c0 * x ** ((ek + 1) * n) / _SQRT2
-
-    def h(n: int) -> float:
-        return d0 * x ** ((ef + 1) * n) / _SQRT2
-
-    def k(n: int) -> float:
-        return x ** (ek * n) / _SQRT2
-
-    return CoefficientSet(f=f, g=g, h=h, k=k)
+    return CoefficientSet(f=_power_law(1.0, x, ef), g=_power_law(family.c0, x, ek + 1),
+                          h=_power_law(family.d0, x, ef + 1), k=_power_law(1.0, x, ek))
 
 
 def gh_pair(family: FamilyId | str, params: DeformationParams | float) -> GHPair:
@@ -104,19 +91,21 @@ def gh_pair(family: FamilyId | str, params: DeformationParams | float) -> GHPair
     family = FamilyId.parse(family)
     params = _as_params(params)
     _check_family_params(family, params, "gh_pair")
-    x, q = params.power_base, params.q
+    x = params.power_base
     pref = params.p if family.two_parameter else 1.0
     ef, ek = _EXPONENTS[family.tag.letter]
-    s = ef + ek
-    cd = family.c0 * family.d0
+    s, cd = ef + ek, family.c0 * family.d0
+    return GHPair(G=_operator(params.q, x, s, -ef, cd, -2), H=_operator(pref, x, s, ek, cd, 2))
 
-    def G(n: int) -> float:
-        return 0.5 * q * x ** (s * n - ef) * (1.0 + cd * x ** (2 * n - 2))
 
-    def H(n: int) -> float:
-        return 0.5 * pref * x ** (s * n + ek) * (1.0 + cd * x ** (2 * n + 2))
+def _power_law(c: float, x: float, e: int) -> Callable[[int], float]:
+    """n -> c x**(e n)/sqrt(2): f, g, h or k of a built-in family."""
+    return lambda n: c * x ** (e * n) / _SQRT2
 
-    return GHPair(G=G, H=H)
+
+def _operator(c: float, x: float, s: int, a: int, cd: float, b: int) -> Callable[[int], float]:
+    """n -> c x**(s n + a) (1 + cd x**(2n + b)) / 2: G or H of a built-in family."""
+    return lambda n: 0.5 * c * x ** (s * n + a) * (1.0 + cd * x ** (2 * n + b))
 
 
 def general_gh(

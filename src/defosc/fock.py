@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .dsf import (
-    DeformationParams, FamilyId, _as_params, _check_level, _check_tol, _phi_table, _prefix,
+    DeformationParams, FamilyId, _as_params, _check_level, _check_tol, _levels, _phi_table,
 )
 from .errors import DomainError
 from .families import GHPair, coefficients, gh_pair
@@ -189,16 +189,6 @@ class ResidualReport:
         return self.residual <= self.tol
 
 
-def _level_values(fn: Callable[[int], float], name: str, levels: range) -> np.ndarray:
-    """fn at Python-int levels; DomainError naming the first level that raises or is not finite."""
-    values = np.array(_prefix(fn, levels), dtype=float)
-    bad = np.flatnonzero(~np.isfinite(values))
-    stop = bad[0] if bad.size else len(values)  # len(levels) unless fn raised
-    if stop < len(levels):
-        raise DomainError(f"{name}({levels[stop]}) leaves the double-precision range")
-    return values
-
-
 def build_rep(
     family: FamilyId | str,
     params: DeformationParams | float,
@@ -229,7 +219,7 @@ def build_rep(
     if phi is None:
         phi_vals = np.array(_phi_table(family, params, dim + 1))
     else:
-        phi_vals = _level_values(phi, "phi", range(dim + 1))
+        phi_vals = np.array(_levels(phi, "phi", range(dim + 1)), dtype=float)
     negative = np.flatnonzero(phi_vals < 0)
     if negative.size:
         n = int(negative[0])
@@ -240,8 +230,8 @@ def build_rep(
     # X = f(N) a- + g(N) a+ and P = i (k(N) a+ - h(N) a-), row by row: the
     # super-diagonals read f and h at 0..D-2, the sub-diagonals g and k at 1..D-1
     lower, upper = range(dim - 1), range(1, dim)
-    f, g = _level_values(cs.f, "f", lower), _level_values(cs.g, "g", upper)
-    h, k = _level_values(cs.h, "h", lower), _level_values(cs.k, "k", upper)
+    f, g, h, k = [np.array(_levels(fn, name, levels)) for fn, name, levels in (
+        (cs.f, "f", lower), (cs.g, "g", upper), (cs.h, "h", lower), (cs.k, "k", upper))]
     rep = FockRep(family=family, params=params, dim=dim, ladder=roots,
                   x_sub=(g * roots).astype(complex),
                   x_sup=(f * roots).astype(complex),
@@ -294,8 +284,8 @@ def verify_gh_relation(rep: FockRep, gh: GHPair | None = None, tol: float = 1e-1
     if gh is None:
         gh = gh_pair(rep.family, rep.params)
     levels = range(rep.dim)
-    Hd = _Bands({0: _level_values(gh.H, "H", levels)})
-    Gd = _Bands({0: _level_values(gh.G, "G", levels)})
+    Hd = _Bands({0: np.array(_levels(gh.H, "H", levels), dtype=float)})
+    Gd = _Bands({0: np.array(_levels(gh.G, "G", levels), dtype=float)})
     ap, am, eye = rep._a_plus_bands, rep._a_minus_bands, _eye(rep.dim)
     raise_then_lower = am @ ap
     lower_then_raise = ap @ am

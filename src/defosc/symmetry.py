@@ -140,6 +140,9 @@ def phi_symmetrized_qp(base: FamilyId | str, q, p, n: int):
             raise DomainError(
                 f"real parameters must be finite and positive, got q = {q!r}, p = {p!r}"
             )
+    for name, ratio in (("q/p", q / p), ("p/q", p / q)):
+        if ratio == 0 or not cmath.isfinite(ratio):
+            raise DomainError(f"phi_symmetrized_qp requires finite {name} != 0, got {ratio!r}")
     letter = base.tag.letter
     forward = _phi_power_base(letter, q / p, n, p)
     swapped = _phi_power_base(letter, p / q, n, q)

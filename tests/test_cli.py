@@ -246,6 +246,18 @@ class TestErrorPaths:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "double-precision range" in lines[0]
 
+    @pytest.mark.parametrize("argv,shown", [
+        (("dsf", "--family", "Bt", "--q", "1e-300", "--p", "1e300", "--n-max", "3"), "0.0"),
+        (("dsf", "--family", "Ct", "--q", "1e300", "--p", "1e-300", "--n-max", "3"), "inf"),
+        (("spectrum", "--family", "At", "--q", "1e-300", "--p", "1e300", "--n-max", "3"), "0.0"),
+        (("verify", "--family", "Dt", "--q", "1e-300", "--p", "1e300", "--dim", "5"), "0.0"),
+    ])
+    def test_power_base_out_of_range_is_domain_error(self, capsys, argv, shown):
+        # q and p are in range but Q = q/p is not: this exited 1 through a ZeroDivisionError
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: phi_closed requires finite Q = q/p > 0, got {shown}\n"
+
     def test_unread_coefficient_overflow_is_left_to_the_ratio_recursions(self, capsys):
         # build_rep at D = 513 never reads f(512); verify_ratio_recursions(n_max = 513) does
         code, out, err = run(capsys, "verify", "--family", "C", "--q", "0.5", "--dim", "513")

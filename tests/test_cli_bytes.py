@@ -88,6 +88,8 @@ def _argvs() -> list[list[str]]:
         ["dsf", "--family", "A", "--q", "1.1", "--p", "0"],
         ["dsf", "--family", "A", "--q", "1.1", "--n-max", "-1"],
         ["dsf", "--family", "A", "--q", "1.1", "--n-max", "-1", "--format", "json"],
+        ["dsf", "--family", "Bt", "--q", "1e-300", "--p", "1e300", "--n-max", "3"],
+        ["dsf", "--family", "Ct", "--q", "1e300", "--p", "1e-300", "--n-max", "3"],
         ["spectrum", "--family", "A"],
         ["spectrum", "--q", "1.1"],
         ["spectrum", "--family", "A", "--q", "1e200", "--n-max", "0"],

@@ -12,20 +12,24 @@ from defosc import (
     DomainError,
     FamilyId,
     FamilyTag,
+    GHPair,
     SingularRecipeError,
     StructureFunction,
     build_rep,
     coefficients,
     degeneracy_equation,
     energy,
+    general_gh,
     gh_pair,
     ground_state_table,
     phi_closed,
     phi_from_gh,
     phi_ratio_check,
+    spectrum,
     verify_gh_relation,
     verify_heisenberg,
     verify_ladder,
+    verify_ratio_recursions,
 )
 from defosc import dsf
 
@@ -158,6 +162,27 @@ class TestParameterChecks:
         else:
             with pytest.raises(DomainError, match=rf"^{context} requires finite p > 0, got {shown}$"):
                 call("Bt", DeformationParams(q=1.1, p=bad))
+
+    @pytest.mark.parametrize("q,p,shown", [(1e-300, 1e300, "0.0"), (1e300, 1e-300, "inf")])
+    @pytest.mark.parametrize("call,context", PARAM_CHECKS)
+    def test_rejects_a_power_base_out_of_range(self, call, context, q, p, shown):
+        # q and p are each finite and positive, but Q = q/p is not
+        with pytest.raises(DomainError, match=rf"^{context} requires finite Q = q/p > 0, got {shown}$"):
+            call("Bt", DeformationParams(q=q, p=p))
+
+    @pytest.mark.parametrize("call,context", [
+        (lambda params: phi_closed("Bt", params, 27), "phi_closed"),
+        (lambda params: spectrum("At", params, 3), "phi_closed"),
+        (lambda params: build_rep("Dt", params, 5), "phi_closed"),
+        (lambda params: phi_ratio_check("Bt", "At", params, 3), "phi_closed"),
+        (lambda params: general_gh(lambda n: 1.0, lambda n: 1.0, 1.0, 1.0, params), "general_gh"),
+        (lambda params: verify_ratio_recursions(coefficients("A", 1.0), params, 3),
+         "verify_ratio_recursions"),
+    ])
+    def test_power_base_out_of_range_is_refused_by_every_entry(self, call, context):
+        # these raised ZeroDivisionError at Q = 0.0
+        with pytest.raises(DomainError, match=rf"^{context} requires finite Q = q/p > 0, got 0.0$"):
+            call(DeformationParams(q=1e-300, p=1e300))
 
     @pytest.mark.parametrize("call,context", PARAM_CHECKS)
     def test_rejects_complex(self, call, context):
@@ -469,6 +494,28 @@ class TestPhiFromGH:
             phi_from_gh(lambda n: 1 / (n - 2), lambda n: 1.0, 5)
         with pytest.raises(DomainError, match=r"^H\(3\) leaves the double-precision range$"):
             phi_from_gh(lambda n: 1.0, lambda n: 1 / (n - 3), 5)
+
+    @pytest.mark.parametrize("G,H,stage", [
+        # an infinite H(2) gave phi(3) = 0.0 and a silent 2.0 at n = 5
+        (lambda n: 1.0, lambda n: math.inf if n == 2 else 1.0, "H(2)"),
+        (lambda n: 1.0, lambda n: -math.inf if n == 0 else 1.0, "H(0)"),
+        (lambda n: 1.0, lambda n: math.nan if n == 4 else 1.0, "H(4)"),
+        # a non-finite G(2) was reported as phi(3)
+        (lambda n: math.inf if n == 2 else 1.0, lambda n: 1.0, "G(2)"),
+        (lambda n: math.nan if n == 1 else 1.0, lambda n: 1.0, "G(1)"),
+        # finite G and H whose phi overflows: the recipe's own value is named
+        (lambda n: 1.0, lambda n: 5e-324 if n == 0 else 1.0, "recipe phi(1)"),
+        (lambda n: 1e300, lambda n: 1e-10, "recipe phi(2)"),
+    ])
+    def test_non_finite_operator_names_the_function_and_level(self, G, H, stage):
+        with pytest.raises(DomainError, match=rf"^{re.escape(stage)} leaves the double-precision "
+                                              r"range$"):
+            phi_from_gh(G, H, 5)
+        # the rule verify_gh_relation applies to the same pair
+        if not stage.startswith("recipe"):
+            rep = build_rep("A", 1.0, 5)
+            with pytest.raises(DomainError, match=rf"^{re.escape(stage)} leaves"):
+                verify_gh_relation(rep, GHPair(G=G, H=H))
 
     @given(st.sampled_from(ALL_FAMILIES),
            st.floats(min_value=0.85, max_value=1.25),

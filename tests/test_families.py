@@ -1,4 +1,5 @@
 import math
+from array import array
 
 import pytest
 
@@ -121,6 +122,63 @@ class TestGHPair:
         pair = gh_pair(family, params)
         for n in range(2, 61):
             assert rel_err(pair.G(n), x**s * pair.H(n - 2)) <= 1e-12
+
+
+# the ends of the benchmark's q and p boxes, and 0.5 and 2.0, whose powers of +-2n leave
+# the double range from n = 512
+GRID_Q = (0.5, 0.8, 1.5, 2.0)
+GRID_P = (0.5, 0.9, 1.3, 2.0)
+# the printed constants, and general ones that scale g, h and the x**(2n + b) terms of G and H
+CONSTANTS = [(tag, 1.0, 1.0) for tag in ALL_FAMILIES] + [
+    (tag, c0, d0) for tag in ONE_PARAM for c0, d0 in ((2.0, 0.5), (-1.5, 3.0), (0.0, 1.0))]
+LEVELS = range(-1, 3001)
+
+
+class TestClosuresFromTheMakers:
+    """coefficients and gh_pair against the six closures as they were written by hand."""
+
+    @pytest.mark.parametrize("tag,c0,d0", CONSTANTS)
+    def test_bit_identical_to_the_hand_written_closures(self, tag, c0, d0):
+        family = FamilyId(FamilyTag.parse(tag), c0, d0)
+        # general constants take the two extreme q only
+        for q in (GRID_Q if (c0, d0) == (1.0, 1.0) else (0.5, 2.0)):
+            for p in (GRID_P if family.two_parameter else (None,)):
+                params = DeformationParams(q=q, p=p)
+                cs, pair = coefficients(family, params), gh_pair(family, params)
+                made = {"f": cs.f, "g": cs.g, "h": cs.h, "k": cs.k, "G": pair.G, "H": pair.H}
+                for name, reference in _hand_written(family, params).items():
+                    assert _outcomes(made[name], LEVELS) == _outcomes(reference, LEVELS), (
+                        name, q, p)
+
+
+def _hand_written(family, params):
+    """The bodies of the six closures coefficients and gh_pair wrote out before the makers."""
+    x, q = params.power_base, params.q
+    pref = params.p if family.two_parameter else 1.0
+    ef, _, _, ek = PRINTED_EXPONENTS[family.tag.letter]
+    s = ef + ek
+    c0, d0 = family.c0, family.d0
+    cd = c0 * d0
+    return {
+        "f": lambda n: x ** (ef * n) / SQRT2,
+        "g": lambda n: c0 * x ** ((ek + 1) * n) / SQRT2,
+        "h": lambda n: d0 * x ** ((ef + 1) * n) / SQRT2,
+        "k": lambda n: x ** (ek * n) / SQRT2,
+        "G": lambda n: 0.5 * q * x ** (s * n - ef) * (1.0 + cd * x ** (2 * n - 2)),
+        "H": lambda n: 0.5 * pref * x ** (s * n + ek) * (1.0 + cd * x ** (2 * n + 2)),
+    }
+
+
+def _outcomes(fn, levels):
+    """The bits of fn(n) per level, and the levels where it raises with the exception type."""
+    values, raised = [], []
+    for n in levels:
+        try:
+            values.append(fn(n))
+        except ArithmeticError as exc:
+            values.append(0.0)
+            raised.append((n, type(exc)))
+    return array("d", values).tobytes(), raised
 
 
 class TestGeneralGH:

@@ -96,6 +96,20 @@ class TestSymmetrizedForms:
                                               r"double-precision range at q = 1.5$"):
             evaluate("A", 1.5, 600)
 
+    @pytest.mark.parametrize("evaluate,n", [
+        (lambda n: phi_symmetrized("A", 1e-300, n), 2),
+        (lambda n: phi_symmetrized("D", 1e-300, n), 33),
+        (lambda n: symmetrized_routes("D", 1e-300, n), 33),
+        (lambda n: SymmetrizedDSF("D", DeformationParams(q=1e-300))(n), 33),
+        (lambda n: StructureFunction.symmetrized("D", 1e-300)(n), 33),
+    ], ids=["phi_symmetrized_A", "phi_symmetrized_D", "symmetrized_routes", "SymmetrizedDSF",
+            "StructureFunction"])
+    def test_underflowed_complex_power_names_the_level(self, evaluate, n):
+        # complex x**(1 - n) divides by an underflowed 0: this raised ZeroDivisionError
+        with pytest.raises(DomainError, match=rf"^phi\({n}\) leaves the double-precision range "
+                                              r"at base \(1e-300\+0j\)$"):
+            evaluate(n)
+
     def test_domain_checks(self):
         with pytest.raises(DomainError):
             phi_symmetrized("A", 0, 3)
@@ -163,6 +177,20 @@ class TestTwoParameterSymmetrization:
     def test_real_parameters_must_be_finite(self, q, p):
         with pytest.raises(DomainError, match=r"^real parameters must be finite and positive, "):
             phi_symmetrized_qp("At", q, p, 4)
+
+    @pytest.mark.parametrize("q,p,name,shown", [
+        (1e-300, 1e300, "q/p", "0.0"),
+        (1e300, 1e-300, "q/p", "inf"),
+        (1e-300, 1e10, "p/q", "inf"),  # q/p = 1e-310 is subnormal but nonzero
+        (1e-300 + 1e-300j, 1e300 - 1e300j, "q/p", "0j"),
+    ])
+    def test_parameter_ratios_must_stay_in_range(self, q, p, name, shown):
+        # these raised ZeroDivisionError in the closed form at base q/p or p/q
+        message = rf"^phi_symmetrized_qp requires finite {name} != 0, got {shown}$"
+        with pytest.raises(DomainError, match=message):
+            phi_symmetrized_qp("At", q, p, 5)
+        with pytest.raises(DomainError, match=message):
+            SymmetrizedDSF("Bt", DeformationParams(q=q, p=p))(5)
 
     def test_wrapper_dispatch(self):
         one = SymmetrizedDSF("A", DeformationParams(q=1.1))
