@@ -16,6 +16,7 @@ and strictly positive (complex unit-circle parameters are the business of
 from __future__ import annotations
 
 import cmath
+import sys
 from enum import Enum
 from numbers import Integral, Real
 from typing import Callable, Literal
@@ -40,6 +41,7 @@ __all__ = [
 POLE_TOLERANCE = 1e-8
 
 _INF = float("inf")
+_MAX_FLOAT = sys.float_info.max
 
 
 class FamilyTag(Enum):
@@ -214,7 +216,7 @@ class DeformationParams(_Record):
                 continue
             if isinstance(value, complex):  # even with a zero imaginary part
                 raise DomainError(f"{context} requires real {name}, got {value!r}")
-            if not 0 < value < _INF:
+            if not 0 < value <= _MAX_FLOAT:  # an int beyond the double range is not finite
                 raise DomainError(f"{context} requires finite {name} > 0, got {value!r}")
         if p is not None and not 0 < q / p < _INF:  # the power base: Q under- or overflows
             raise DomainError(f"{context} requires finite Q = q/p > 0, got {q / p!r}")

@@ -12,17 +12,21 @@ with ``dataclasses.replace`` has none, and verify_ladder recomputes it.
 build_rep reads each coefficient only at the levels the bands use: f and h
 at 0..D-2, g and k at 1..D-1.
 
-Band rule: the verifiers hold each operator as {offset: vector} with
-vector[r] = M[r, r + offset], zero where the column leaves the matrix.  The
-product of bands a and b lands on band a + b with entry
-A[r, r + a] * B[r + a, r + a + b], so every product, absolute value and
-scale of the dense formulas is formed band by band in O(D).  Every entry off
-the bands is exactly 0 in both layouts, so the maxima are the same.
+Diagonal rule: each verifier forms only the diagonals its identity has,
+straight from the stored vectors at their natural length, in the order
+``np.diag(M, k)`` reads them.  Entry (r, r) of A @ B is
+A[r, r-1] B[r-1, r] + A[r, r+1] B[r+1, r], with the factors and the sum in
+that order, so every product, absolute value and scale of the dense formulas
+is formed diagonal by diagonal in O(D) without padded copies.  Every entry
+off those diagonals is exactly 0 in the dense products too, so the maxima are
+the same.
 
 At truncation dimension D the quadratic identities hold exactly on the
 leading (D-1) x (D-1) sub-block (one ladder step from level D-2 stays inside
 the space); the last row and column carry the truncation artifact and are
-reported separately by every verifier.
+reported separately by every verifier.  On every diagonal the last entry is
+the one in the last row or column, so it is the boundary and the others are
+trusted.
 
 Residuals are scaled per entry by the magnitude of the terms forming the
 identity (floored at 1), so an exactly realized algebra reports machine-level
@@ -33,7 +37,7 @@ for q = 0.9, where an unscaled residual could never beat phi * eps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -51,64 +55,6 @@ HBAR = 1.0  # fixed, not a parameter
 # Bounds the O(D) verifier work and the dense properties (16 D^2 bytes each);
 # the stored representation itself is O(D).
 MAX_DIM = 10_000
-
-
-class _Bands(dict):
-    """An operator as {offset: vector}, vector[r] = M[r, r + offset].
-
-    Every vector has length D; rows whose column r + offset falls outside
-    the matrix hold 0.
-    """
-
-    @classmethod
-    def of(cls, dim: int, diagonals: dict[int, np.ndarray]) -> "_Bands":
-        """Pad diagonals as ``np.diag(M, offset)`` reads them to length-D rows."""
-        bands = cls()
-        for offset, diagonal in diagonals.items():
-            rows = np.zeros(dim, dtype=diagonal.dtype)
-            rows[max(-offset, 0):dim - max(offset, 0)] = diagonal
-            bands[offset] = rows
-        return bands
-
-    def dense(self) -> np.ndarray:
-        dim = len(next(iter(self.values())))
-        matrix = np.zeros((dim, dim), dtype=complex)
-        for offset, rows in self.items():
-            matrix += np.diag(rows[max(-offset, 0):dim - max(offset, 0)], offset)
-        return matrix
-
-    def __matmul__(self, other: "_Bands") -> "_Bands":
-        out = _Bands()
-        for a, left in self.items():
-            for b, right in other.items():
-                shifted = right  # shifted[r] = right[r + a]
-                if a:
-                    shifted = np.zeros_like(right)
-                    if a > 0:
-                        shifted[:-a] = right[a:]
-                    else:
-                        shifted[-a:] = right[:a]
-                term = left * shifted
-                out[a + b] = out[a + b] + term if a + b in out else term
-        return out
-
-    def __add__(self, other: "_Bands") -> "_Bands":
-        out = _Bands(self)
-        for offset, rows in other.items():
-            out[offset] = out[offset] + rows if offset in out else rows
-        return out
-
-    def __neg__(self) -> "_Bands":
-        return _Bands({offset: -rows for offset, rows in self.items()})
-
-    def __sub__(self, other: "_Bands") -> "_Bands":
-        return self + -other
-
-    def __rmul__(self, scalar: complex) -> "_Bands":
-        return _Bands({offset: scalar * rows for offset, rows in self.items()})
-
-    def __abs__(self) -> "_Bands":
-        return _Bands({offset: np.abs(rows) for offset, rows in self.items()})
 
 
 @dataclass(frozen=True)
@@ -139,28 +85,12 @@ class FockRep:
         return self.dim - 1
 
     @property
-    def _a_plus_bands(self) -> _Bands:
-        return _Bands.of(self.dim, {-1: self.ladder})
-
-    @property
-    def _a_minus_bands(self) -> _Bands:
-        return _Bands.of(self.dim, {1: self.ladder})
-
-    @property
-    def _x_bands(self) -> _Bands:
-        return _Bands.of(self.dim, {-1: self.x_sub, 1: self.x_sup})
-
-    @property
-    def _p_bands(self) -> _Bands:
-        return _Bands.of(self.dim, {-1: self.p_sub, 1: self.p_sup})
-
-    @property
     def a_plus(self) -> np.ndarray:
-        return self._a_plus_bands.dense()
+        return _matrix(self.dim, (-1, self.ladder))
 
     @property
     def a_minus(self) -> np.ndarray:
-        return self._a_minus_bands.dense()
+        return _matrix(self.dim, (1, self.ladder))
 
     @property
     def num(self) -> np.ndarray:
@@ -168,11 +98,17 @@ class FockRep:
 
     @property
     def X(self) -> np.ndarray:
-        return self._x_bands.dense()
+        return _matrix(self.dim, (-1, self.x_sub), (1, self.x_sup))
 
     @property
     def P(self) -> np.ndarray:
-        return self._p_bands.dense()
+        return _matrix(self.dim, (-1, self.p_sub), (1, self.p_sup))
+
+
+def _matrix(dim: int, *diagonals: tuple[int, np.ndarray]) -> np.ndarray:
+    """Dense complex D x D matrix with the given (offset, diagonal) pairs."""
+    return sum((np.diag(diagonal, offset) for offset, diagonal in diagonals),
+               np.zeros((dim, dim), dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -242,23 +178,40 @@ def build_rep(
     return rep
 
 
-def _split_residual(R: _Bands, scale: _Bands, trusted: int) -> tuple[float, float]:
+def _split_residual(pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[float, float]:
     """Max scaled |R| over the trusted block and over the last row and column.
 
-    Row r of band `offset` is entry (r, r + offset), which lies in the
-    trusted block iff r < trusted - max(offset, 0).
+    `pairs` holds (R, scale) diagonals as ``np.diag`` reads them; the last
+    entry of each lies in the last row or column, the others in the trusted
+    block.
     """
     inner, boundary = [], []
-    for offset, rows in R.items():
-        scaled = np.abs(rows) / np.maximum(scale[offset], 1.0)
-        cut = trusted - max(offset, 0)
-        inner.append(scaled[:cut].max(initial=0.0))
-        boundary.append(scaled[cut:].max(initial=0.0))
+    for R, scale in pairs:
+        scaled = np.abs(R) / np.maximum(scale, 1.0)
+        inner.append(scaled[:-1].max(initial=0.0))
+        boundary.append(scaled[-1])
+    # np.max, unlike the builtin max, lets a NaN residual through to the report
     return float(np.max(inner)), float(np.max(boundary))
 
 
-def _eye(dim: int) -> _Bands:
-    return _Bands({0: np.ones(dim)})
+def _tridiagonal_product(
+    a_sub: np.ndarray, a_sup: np.ndarray, b_sub: np.ndarray, b_sup: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonals -2, 0, +2 of A @ B for A, B with only a sub- and a super-diagonal."""
+    through_lower, through_upper = a_sub * b_sup, a_sup * b_sub  # via column r - 1, r + 1
+    main = np.zeros(len(through_lower) + 1, dtype=np.result_type(through_lower, through_upper))
+    main[1:] = through_lower
+    main[:-1] += through_upper
+    return a_sub[1:] * b_sub[:-1], main, a_sup[:-1] * b_sup[1:]
+
+
+def _number_products(ladder: np.ndarray) -> np.ndarray:
+    """Rows (a- a+ diagonal, a+ a- diagonal) for ladder amplitudes `ladder`."""
+    squares = ladder * ladder
+    products = np.zeros((2, len(ladder) + 1), dtype=squares.dtype)
+    products[0, :-1] = squares  # a- a+ at level n: ladder[n]**2, 0 at the last level
+    products[1, 1:] = squares  # a+ a- at level n: ladder[n - 1]**2, 0 at level 0
+    return products
 
 
 def verify_heisenberg(rep: FockRep, tol: float = 1e-10) -> ResidualReport:
@@ -266,11 +219,15 @@ def verify_heisenberg(rep: FockRep, tol: float = 1e-10) -> ResidualReport:
     _check_tol(tol)
     p_eff = rep.params.p if rep.params.two_parameter else 1.0
     q = rep.params.q
-    X, P, eye = rep._x_bands, rep._p_bands, _eye(rep.dim)
-    R = p_eff * (X @ P) - q * (P @ X) - 1j * HBAR * eye
-    absX, absP = abs(X), abs(P)
-    scale = abs(p_eff) * (absX @ absP) + abs(q) * (absP @ absX) + eye
-    residual, boundary = _split_residual(R, scale, rep.trusted)
+    X, P = (rep.x_sub, rep.x_sup), (rep.p_sub, rep.p_sup)
+    absX, absP = tuple(map(np.abs, X)), tuple(map(np.abs, P))
+    products = zip(_tridiagonal_product(*X, *P), _tridiagonal_product(*P, *X))
+    R = [p_eff * xp - q * px for xp, px in products]
+    abs_products = zip(_tridiagonal_product(*absX, *absP), _tridiagonal_product(*absP, *absX))
+    scale = [abs(p_eff) * xp + abs(q) * px for xp, px in abs_products]
+    R[1] = R[1] - 1j * HBAR  # the identity lies on the main diagonal
+    scale[1] = scale[1] + 1.0
+    residual, boundary = _split_residual(zip(R, scale))
     return ResidualReport("heisenberg", residual, boundary, tol)
 
 
@@ -284,14 +241,12 @@ def verify_gh_relation(rep: FockRep, gh: GHPair | None = None, tol: float = 1e-1
     if gh is None:
         gh = gh_pair(rep.family, rep.params)
     levels = range(rep.dim)
-    Hd = _Bands({0: np.array(_levels(gh.H, "H", levels), dtype=float)})
-    Gd = _Bands({0: np.array(_levels(gh.G, "G", levels), dtype=float)})
-    ap, am, eye = rep._a_plus_bands, rep._a_minus_bands, _eye(rep.dim)
-    raise_then_lower = am @ ap
-    lower_then_raise = ap @ am
-    R = Hd @ raise_then_lower - Gd @ lower_then_raise - eye
-    scale = abs(Hd) @ abs(raise_then_lower) + abs(Gd) @ abs(lower_then_raise) + eye
-    residual, boundary = _split_residual(R, scale, rep.trusted)
+    H = np.array(_levels(gh.H, "H", levels), dtype=float)
+    G = np.array(_levels(gh.G, "G", levels), dtype=float)
+    raise_then_lower, lower_then_raise = _number_products(rep.ladder)
+    R = H * raise_then_lower - G * lower_then_raise - 1.0
+    scale = np.abs(H) * np.abs(raise_then_lower) + np.abs(G) * np.abs(lower_then_raise) + 1.0
+    residual, boundary = _split_residual([(R, scale)])
     return ResidualReport("gh_relation", residual, boundary, tol)
 
 
@@ -305,20 +260,22 @@ def verify_ladder(rep: FockRep, tol: float = 1e-10) -> ResidualReport:
     it is recomputed from (family, params).
     """
     _check_tol(tol)
-    ap, am = rep._a_plus_bands, rep._a_minus_bands
-    num = _Bands({0: np.arange(rep.dim, dtype=float)})
-    abs_ap, abs_am, abs_num = abs(ap), abs(am), abs(num)
+    ladder, abs_ladder = rep.ladder, np.abs(rep.ladder)
+    num = np.arange(rep.dim, dtype=float)
     phi_vals = rep._phi
     if phi_vals is None:
         phi_vals = np.array(_phi_table(rep.family, rep.params, rep.dim + 1))
-    steps = _Bands({0: phi_vals[1:] - phi_vals[:-1]})
-    step_scale = _Bands({0: np.abs(phi_vals[1:]) + np.abs(phi_vals[:-1])})
-    checks = (
-        (num @ ap - ap @ num - ap, abs_num @ abs_ap + abs_ap @ abs_num + abs_ap),
-        (num @ am - am @ num + am, abs_num @ abs_am + abs_am @ abs_num + abs_am),
-        (am @ ap - ap @ am - steps, abs_am @ abs_ap + abs_ap @ abs_am + step_scale),
-    )
-    # np.max, unlike the builtin max, lets a NaN residual through to the report
-    residual, boundary = np.max([_split_residual(R, scale, rep.trusted) for R, scale in checks],
-                                axis=0)
-    return ResidualReport("ladder", float(residual), float(boundary), tol)
+    raise_then_lower, lower_then_raise = _number_products(ladder)
+    abs_raise_then_lower, abs_lower_then_raise = _number_products(abs_ladder)
+    steps = phi_vals[1:] - phi_vals[:-1]
+    step_scale = np.abs(phi_vals[1:]) + np.abs(phi_vals[:-1])
+    residual, boundary = _split_residual((
+        # [N, a+] - a+ on diagonal -1, [N, a-] + a- on diagonal +1
+        (num[1:] * ladder - ladder * num[:-1] - ladder,
+         num[1:] * abs_ladder + abs_ladder * num[:-1] + abs_ladder),
+        (num[:-1] * ladder - ladder * num[1:] + ladder,
+         num[:-1] * abs_ladder + abs_ladder * num[1:] + abs_ladder),
+        (raise_then_lower - lower_then_raise - steps,
+         abs_raise_then_lower + abs_lower_then_raise + step_scale),
+    ))
+    return ResidualReport("ladder", residual, boundary, tol)

@@ -11,7 +11,7 @@ import math
 
 from .dsf import (
     DeformationParams, FamilyId, _as_params, _check_family_params, _check_level, _check_tol,
-    _in_range, _phi_at, _Record, phi_closed,
+    _in_range, _MAX_FLOAT, _phi_at, _Record, phi_closed,
 )
 from .errors import DomainError
 
@@ -167,7 +167,7 @@ def find_degeneracy(
         raise DomainError(f"search interval must satisfy 0 < q_lo < q_hi, got {search!r}")
     if q_lo == 1.0 or q_hi == 1.0:
         raise DomainError("search endpoints must differ from the undeformed point q = 1")
-    if q_hi == math.inf:
+    if q_hi > _MAX_FLOAT:  # inf, or an int beyond the double range
         raise DomainError(f"search endpoints must be finite, got {search!r}")
     _check_tol(tol)
     if grid < 2:

@@ -98,17 +98,17 @@ def phi_symmetrized(base: FamilyId | str, q, n: int) -> float:
 
     Accepts real q > 0 or complex q on the unit circle.  The averaging and
     factorized evaluations must agree to 1e-10 and the imaginary part must be
-    negligible at the same scale; both are enforced, then the real part is
-    returned.
+    negligible at the same scale; either failure raises DomainError naming n,
+    else the real part is returned.
     """
     avg, fact = symmetrized_routes(base, q, n)
     scale = max(1.0, abs(avg), abs(fact))
     if abs(avg - fact) > _CROSS_CHECK_TOL * scale:
-        raise ArithmeticError(
+        raise DomainError(
             f"symmetrized evaluations disagree at n = {n}: {avg!r} vs {fact!r}"
         )
     if abs(avg.imag) > _CROSS_CHECK_TOL * scale:
-        raise ArithmeticError(
+        raise DomainError(
             f"symmetrized value has a stray imaginary part at n = {n}: {avg!r}"
         )
     return avg.real

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -183,6 +184,32 @@ class TestParameterChecks:
         # these raised ZeroDivisionError at Q = 0.0
         with pytest.raises(DomainError, match=rf"^{context} requires finite Q = q/p > 0, got 0.0$"):
             call(DeformationParams(q=1e-300, p=1e300))
+
+    @pytest.mark.parametrize("call,shown", [
+        (lambda: phi_closed("A", 10**400, 3), "phi_closed requires finite q > 0"),
+        (lambda: energy("A", 10**400, 3), "phi_closed requires finite q > 0"),
+        (lambda: coefficients("A", 10**400).f(3), "coefficients requires finite q > 0"),
+        (lambda: gh_pair("A", 10**400).H(3), "gh_pair requires finite q > 0"),
+        (lambda: spectrum("A", 10**400, 3), "phi_closed requires finite q > 0"),
+        (lambda: build_rep("A", 10**400, 5), "phi_closed requires finite q > 0"),
+        (lambda: degeneracy_equation("A", 10**400, 3, 0), "phi_closed requires finite q > 0"),
+        (lambda: phi_closed("At", DeformationParams(10**400, 1), 3),
+         "phi_closed requires finite q > 0"),
+        (lambda: phi_closed("At", DeformationParams(1.5, 10**400), 3),
+         "phi_closed requires finite p > 0"),
+        (lambda: ground_state_table(10**400), "ground_state_table requires finite q > 0"),
+    ])
+    def test_int_beyond_the_double_range_is_refused(self, call, shown):
+        # an int compares exactly with inf, so 10**400 passed and then leaked OverflowError
+        with pytest.raises(DomainError, match=rf"^{shown}, got {10**400}$"):
+            call()
+
+    def test_largest_int_in_the_double_range_passes(self):
+        largest = int(sys.float_info.max)
+        DeformationParams(q=largest).require_real_positive()
+        DeformationParams(q=1.5, p=largest).require_real_positive()
+        with pytest.raises(DomainError, match=rf"^this operation requires finite q > 0, got {largest + 1}$"):
+            DeformationParams(q=largest + 1).require_real_positive()
 
     @pytest.mark.parametrize("call,context", PARAM_CHECKS)
     def test_rejects_complex(self, call, context):

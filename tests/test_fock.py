@@ -25,7 +25,10 @@ from defosc import (
     verify_ladder,
 )
 from defosc import dsf, fock
-from defosc.fock import MAX_DIM, _Bands, _split_residual
+from defosc.dsf import _levels, _phi_table
+from defosc.fock import (
+    HBAR, MAX_DIM, FockRep, _number_products, _split_residual, _tridiagonal_product,
+)
 
 from conftest import ALL_FAMILIES, ONE_PARAM, TWO_PARAM
 
@@ -328,7 +331,7 @@ class TestBandStorage:
 
 # ---------------------------------------------------------------------------
 # dense reference: the verifier bodies of the dense D x D layout, applied to
-# the dense properties, against which the banded verifiers are gated
+# the dense properties, against which the O(D) verifiers are gated
 # ---------------------------------------------------------------------------
 
 def _dense_split(matrix, scale, trusted):
@@ -408,9 +411,142 @@ def _dense_metric(rep, T, tol=1e-10):
     return (eta, residual) if residual <= tol else MetricError
 
 
+# ---------------------------------------------------------------------------
+# band reference: the generic {offset: padded vector} algebra and the three
+# verifier bodies the diagonal verifiers replaced, kept here as the gate that
+# their residuals and boundaries are bit-identical
+# ---------------------------------------------------------------------------
+
+class _Bands(dict):
+    """An operator as {offset: vector}, vector[r] = M[r, r + offset].
+
+    Every vector has length D; rows whose column r + offset falls outside
+    the matrix hold 0.
+    """
+
+    @classmethod
+    def of(cls, dim, diagonals):
+        """Pad diagonals as ``np.diag(M, offset)`` reads them to length-D rows."""
+        bands = cls()
+        for offset, diagonal in diagonals.items():
+            rows = np.zeros(dim, dtype=diagonal.dtype)
+            rows[max(-offset, 0):dim - max(offset, 0)] = diagonal
+            bands[offset] = rows
+        return bands
+
+    def dense(self):
+        dim = len(next(iter(self.values())))
+        matrix = np.zeros((dim, dim), dtype=complex)
+        for offset, rows in self.items():
+            matrix += np.diag(rows[max(-offset, 0):dim - max(offset, 0)], offset)
+        return matrix
+
+    def __matmul__(self, other):
+        out = _Bands()
+        for a, left in self.items():
+            for b, right in other.items():
+                shifted = right  # shifted[r] = right[r + a]
+                if a:
+                    shifted = np.zeros_like(right)
+                    if a > 0:
+                        shifted[:-a] = right[a:]
+                    else:
+                        shifted[-a:] = right[:a]
+                term = left * shifted
+                out[a + b] = out[a + b] + term if a + b in out else term
+        return out
+
+    def __add__(self, other):
+        out = _Bands(self)
+        for offset, rows in other.items():
+            out[offset] = out[offset] + rows if offset in out else rows
+        return out
+
+    def __neg__(self):
+        return _Bands({offset: -rows for offset, rows in self.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rmul__(self, scalar):
+        return _Bands({offset: scalar * rows for offset, rows in self.items()})
+
+    def __abs__(self):
+        return _Bands({offset: np.abs(rows) for offset, rows in self.items()})
+
+
+def _band_split(R, scale, trusted):
+    """Max scaled |R| over the trusted block and over the last row and column.
+
+    Row r of band `offset` is entry (r, r + offset), which lies in the
+    trusted block iff r < trusted - max(offset, 0).
+    """
+    inner, boundary = [], []
+    for offset, rows in R.items():
+        scaled = np.abs(rows) / np.maximum(scale[offset], 1.0)
+        cut = trusted - max(offset, 0)
+        inner.append(scaled[:cut].max(initial=0.0))
+        boundary.append(scaled[cut:].max(initial=0.0))
+    return float(np.max(inner)), float(np.max(boundary))
+
+
+def _band_operators(rep):
+    """a+, a-, X, P of a rep as padded bands."""
+    return (_Bands.of(rep.dim, {-1: rep.ladder}), _Bands.of(rep.dim, {1: rep.ladder}),
+            _Bands.of(rep.dim, {-1: rep.x_sub, 1: rep.x_sup}),
+            _Bands.of(rep.dim, {-1: rep.p_sub, 1: rep.p_sup}))
+
+
+def _band_heisenberg(rep):
+    p_eff = rep.params.p if rep.params.two_parameter else 1.0
+    q = rep.params.q
+    _, _, X, P = _band_operators(rep)
+    eye = _Bands({0: np.ones(rep.dim)})
+    R = p_eff * (X @ P) - q * (P @ X) - 1j * HBAR * eye
+    absX, absP = abs(X), abs(P)
+    scale = abs(p_eff) * (absX @ absP) + abs(q) * (absP @ absX) + eye
+    return _band_split(R, scale, rep.trusted)
+
+
+def _band_gh_relation(rep):
+    gh = gh_pair(rep.family, rep.params)
+    levels = range(rep.dim)
+    Hd = _Bands({0: np.array(_levels(gh.H, "H", levels), dtype=float)})
+    Gd = _Bands({0: np.array(_levels(gh.G, "G", levels), dtype=float)})
+    ap, am, _, _ = _band_operators(rep)
+    eye = _Bands({0: np.ones(rep.dim)})
+    raise_then_lower = am @ ap
+    lower_then_raise = ap @ am
+    R = Hd @ raise_then_lower - Gd @ lower_then_raise - eye
+    scale = abs(Hd) @ abs(raise_then_lower) + abs(Gd) @ abs(lower_then_raise) + eye
+    return _band_split(R, scale, rep.trusted)
+
+
+def _band_ladder(rep):
+    ap, am, _, _ = _band_operators(rep)
+    num = _Bands({0: np.arange(rep.dim, dtype=float)})
+    abs_ap, abs_am, abs_num = abs(ap), abs(am), abs(num)
+    phi_vals = rep._phi
+    if phi_vals is None:
+        phi_vals = np.array(_phi_table(rep.family, rep.params, rep.dim + 1))
+    steps = _Bands({0: phi_vals[1:] - phi_vals[:-1]})
+    step_scale = _Bands({0: np.abs(phi_vals[1:]) + np.abs(phi_vals[:-1])})
+    checks = (
+        (num @ ap - ap @ num - ap, abs_num @ abs_ap + abs_ap @ abs_num + abs_ap),
+        (num @ am - am @ num + am, abs_num @ abs_am + abs_am @ abs_num + abs_am),
+        (am @ ap - ap @ am - steps, abs_am @ abs_ap + abs_ap @ abs_am + step_scale),
+    )
+    residual, boundary = np.max([_band_split(R, scale, rep.trusted) for R, scale in checks],
+                                axis=0)
+    return float(residual), float(boundary)
+
+
+def _random_diagonal(rng, size):
+    return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+
 def _random_bands(rng, dim, offsets):
-    return _Bands.of(dim, {k: rng.normal(size=dim - abs(k)) + 1j * rng.normal(size=dim - abs(k))
-                           for k in offsets})
+    return _Bands.of(dim, {k: _random_diagonal(rng, dim - abs(k)) for k in offsets})
 
 
 class TestBandAlgebra:
@@ -423,8 +559,118 @@ class TestBandAlgebra:
                               2.0 * A.dense() - B.dense() + np.abs(A.dense()))
         R, scale = _random_bands(rng, dim, (-2, 0, 2)), abs(_random_bands(rng, dim, (-2, 0, 2)))
         for trusted in range(2, dim):
-            assert _split_residual(R, scale, trusted) == _dense_split(
+            assert _band_split(R, scale, trusted) == _dense_split(
                 R.dense(), scale.dense().real, trusted)
+
+    @pytest.mark.parametrize("dim", (3, 4, 7))
+    def test_tridiagonal_product_matches_dense_and_bands(self, dim):
+        rng = np.random.default_rng(dim)
+        a_sub, a_sup, b_sub, b_sup = (_random_diagonal(rng, dim - 1) for _ in range(4))
+        A = _Bands.of(dim, {-1: a_sub, 1: a_sup})
+        B = _Bands.of(dim, {-1: b_sub, 1: b_sup})
+        dense, bands = A.dense() @ B.dense(), A @ B
+        for offset, diagonal in zip((-2, 0, 2), _tridiagonal_product(a_sub, a_sup, b_sub, b_sup)):
+            assert np.abs(diagonal - np.diag(dense, offset)).max() <= 1e-15
+            padded = _Bands.of(dim, {offset: diagonal})[offset]
+            assert np.array_equal(padded, bands[offset])
+
+    @pytest.mark.parametrize("dim", (3, 4, 7))
+    def test_number_products_match_dense(self, dim):
+        rng = np.random.default_rng(dim)
+        ladder = _random_diagonal(rng, dim - 1)
+        ap, am = _Bands.of(dim, {-1: ladder}), _Bands.of(dim, {1: ladder})
+        raise_then_lower, lower_then_raise = _number_products(ladder)
+        assert np.array_equal(raise_then_lower, (am @ ap)[0])
+        assert np.array_equal(lower_then_raise, (ap @ am)[0])
+        assert np.abs(raise_then_lower - np.diag(am.dense() @ ap.dense())).max() <= 1e-15
+        assert np.abs(lower_then_raise - np.diag(ap.dense() @ am.dense())).max() <= 1e-15
+
+    @pytest.mark.parametrize("dim", (3, 4, 7))
+    def test_split_matches_dense(self, dim):
+        rng = np.random.default_rng(dim)
+        R, scale = _random_bands(rng, dim, (-2, 0, 2)), abs(_random_bands(rng, dim, (-2, 0, 2)))
+        diagonals = [(np.diag(R.dense(), k), np.diag(scale.dense(), k).real) for k in (-2, 0, 2)]
+        expected = _dense_split(R.dense(), scale.dense().real, dim - 1)
+        assert _split_residual(diagonals) == expected == _band_split(R, scale, dim - 1)
+
+    def test_split_lets_nan_through(self):
+        ones = np.ones(3)
+        finite = (np.array([2.0, 3.0]), np.ones(2))
+        # the NaN diagonal comes last, where the builtin max would drop it
+        assert math.isnan(_split_residual([finite, (np.array([math.nan, 0.5, 1.0]), ones)])[0])
+        assert _split_residual([finite, (np.array([0.5, 1.0, math.nan]), ones)])[0] == 2.0
+        assert math.isnan(_split_residual([finite, (np.array([0.5, 1.0, math.nan]), ones)])[1])
+
+
+REFERENCE_Q = (0.5, 0.9, 0.999, 1.0, 1.015, 1.1, 1.5, 2.0)
+REFERENCE_P = (0.7, 1.3)
+REFERENCE_DIMS = (3, 4, 5, 30, 300)
+VERIFIER_REFERENCES = ((verify_heisenberg, _band_heisenberg),
+                       (verify_gh_relation, _band_gh_relation),
+                       (verify_ladder, _band_ladder))
+
+
+def _outcome(call):
+    """(residual, boundary) as a float array, or the refusal's type and message."""
+    try:
+        value = call()
+    except DomainError as exc:
+        return type(exc), str(exc)
+    if isinstance(value, fock.ResidualReport):
+        value = (value.residual, value.boundary)
+    return np.array(value)
+
+
+def _assert_same_outcomes(rep):
+    for verify, reference in VERIFIER_REFERENCES:
+        got, expected = _outcome(lambda: verify(rep)), _outcome(lambda: reference(rep))
+        if isinstance(expected, tuple):
+            assert got == expected, (verify.__name__, rep)
+        else:  # bit for bit, NaN == NaN
+            assert np.array_equal(got, expected, equal_nan=True), (verify.__name__, got, expected)
+
+
+def _variants(rep):
+    """The rep as built, with phi and x_sup off the algebra, and with a bad entry."""
+    yield rep
+    n = np.arange(rep.dim - 1)
+    yield dataclasses.replace(rep, ladder=rep.ladder * (1 + 0.3 * np.sin(n)),
+                              x_sup=rep.x_sup * (1 + 0.3 * np.cos(n)))
+    for index, (value, name) in enumerate((
+            (v, name) for v in (math.nan, math.inf, -1.0) for name in ("ladder", "x_sub"))):
+        vector = getattr(rep, name).copy()
+        vector[(0, len(vector) // 2, len(vector) - 1)[index % 3]] = value
+        yield dataclasses.replace(rep, **{name: vector})
+
+
+class TestBandReference:
+    """The diagonal verifiers against the band verifiers they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_built_reps_match_the_band_reference(self, family):
+        for q in REFERENCE_Q:
+            for p in (REFERENCE_P if FamilyTag.parse(family).two_parameter else (None,)):
+                for dim in REFERENCE_DIMS:
+                    try:
+                        rep = build_rep(family, DeformationParams(q=q, p=p), dim)
+                    except DomainError:
+                        continue
+                    with np.errstate(all="ignore"):
+                        for variant in _variants(rep):
+                            _assert_same_outcomes(variant)
+
+    @pytest.mark.parametrize("kind", ("complex", "real", "real-valued complex"))
+    @pytest.mark.parametrize("dim", (3, 4, 7, 30))
+    def test_hand_built_reps_match_the_band_reference(self, kind, dim):
+        rng = np.random.default_rng(dim)
+        for family, params in (("A", DeformationParams(q=1.1)),
+                               ("Ct", DeformationParams(q=0.9, p=1.3))):
+            for _ in range(10):
+                vectors = [_random_diagonal(rng, dim - 1) for _ in range(5)]
+                if kind != "complex":
+                    vectors = [v.real if kind == "real" else v.real + 0j for v in vectors]
+                rep = FockRep(FamilyId.parse(family), params, dim, *vectors)
+                _assert_same_outcomes(rep)
 
 
 GATE_GRID = [

@@ -22,6 +22,7 @@ from defosc import (
     phi_symmetrized_qp,
     symmetrized_routes,
 )
+from defosc import symmetry
 
 from conftest import ONE_PARAM, TWO_PARAM
 
@@ -109,6 +110,18 @@ class TestSymmetrizedForms:
         with pytest.raises(DomainError, match=rf"^phi\({n}\) leaves the double-precision range "
                                               r"at base \(1e-300\+0j\)$"):
             evaluate(n)
+
+    def test_route_disagreement_is_a_domain_error(self):
+        # near q = 1 the two routes cancel differently (accuracy is a separate matter);
+        # this raised a bare ArithmeticError
+        with pytest.raises(DomainError, match=r"^symmetrized evaluations disagree at n = 10: "):
+            phi_symmetrized("A", 1.0000001, 10)
+
+    def test_stray_imaginary_part_is_a_domain_error(self, monkeypatch):
+        monkeypatch.setattr(symmetry, "symmetrized_routes", lambda base, q, n: (2 + 1j, 2 + 1j))
+        with pytest.raises(DomainError, match=r"^symmetrized value has a stray imaginary part "
+                                              r"at n = 4: \(2\+1j\)$"):
+            phi_symmetrized("A", 1.1, 4)
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):
