@@ -42,6 +42,19 @@ POLE_TOLERANCE = 1e-8
 
 _INF = float("inf")
 _MAX_FLOAT = sys.float_info.max
+_MAX_LEVEL = int(_MAX_FLOAT) // 8  # the kernels' exponents, up to 5 n, must convert to a float
+
+
+def _show(value: object) -> str:
+    """repr(value) for a message, but an int beyond the double range as "an int of 401 digits":
+    its digits would flood the message, and past 4 300 of them repr raises."""
+    if isinstance(value, tuple) and len(value) > 1:
+        return f"({', '.join(map(_show, value))})"
+    if not isinstance(value, int) or abs(value) <= _MAX_FLOAT:
+        return repr(value)
+    digits = int((abs(value).bit_length() - 1) * 0.3010299956639812) + 1  # times log10(2)
+    digits += abs(value) >= 10**digits
+    return f"{'a negative' if value < 0 else 'an'} int of {digits} digits"
 
 
 class FamilyTag(Enum):
@@ -71,20 +84,16 @@ class FamilyTag(Enum):
     def parse(cls, value: "FamilyTag | str") -> "FamilyTag":
         if isinstance(value, FamilyTag):
             return value
-        if type(value) is str:
-            tag = _SPELLINGS.get(value)
-            if tag is not None:
-                return tag
-        tag = _match_spelling(value)
+        tag = (_SPELLINGS.get(value) or _match_spelling(value)) if isinstance(value, str) else None
         if tag is None:
-            raise DomainError(f"unknown family tag {value!r}")
+            raise DomainError(f"unknown family tag {_show(value)}")
         return tag
 
 
-def _match_spelling(value: object) -> FamilyTag | None:
+def _match_spelling(value: str) -> FamilyTag | None:
     """The tag a spelling names under the normalise/casefold rule, or None."""
     # a combining tilde or a trailing ~ both mean the two-parameter twin
-    text = unicodedata.normalize("NFD", str(value).strip())
+    text = unicodedata.normalize("NFD", value.strip())
     folded = text.replace("\u0303", "t").replace("~", "t").casefold()
     for tag in FamilyTag:
         if folded in (tag.name.casefold(), tag.value.casefold()):
@@ -211,15 +220,24 @@ class DeformationParams(_Record):
         if (type(q) is float and 0 < q < _INF
                 and (p is None or type(p) is float and 0 < p < _INF and 0 < q / p < _INF)):
             return
-        for name, value in (("q", q), ("p", p)):
-            if value is None:
-                continue
-            if isinstance(value, complex):  # even with a zero imaginary part
-                raise DomainError(f"{context} requires real {name}, got {value!r}")
-            if not 0 < value <= _MAX_FLOAT:  # an int beyond the double range is not finite
-                raise DomainError(f"{context} requires finite {name} > 0, got {value!r}")
-        if p is not None and not 0 < q / p < _INF:  # the power base: Q under- or overflows
-            raise DomainError(f"{context} requires finite Q = q/p > 0, got {q / p!r}")
+        _require_positive(q, "q", context)
+        if p is not None:
+            _require_positive(p, "p", context)
+            _require_positive(q / p, "Q = q/p", context)  # the power base under- or overflows
+
+
+def _require_positive(value: object, name: str, context: str) -> None:
+    """Refuse all but a finite real value > 0; a complex one even with a zero imaginary part."""
+    if isinstance(value, complex):
+        raise DomainError(f"{context} requires real {name}, got {_show(value)}")
+    if not 0 < value <= _MAX_FLOAT:  # an int beyond the double range is not finite
+        raise DomainError(f"{context} requires finite {name} > 0, got {_show(value)}")
+
+
+def _require_nonzero(value: object, name: str, context: str) -> None:
+    """Refuse all but a finite nonzero real or complex value: both parts in the double range."""
+    if value == 0 or not (abs(value.real) <= _MAX_FLOAT and abs(value.imag) <= _MAX_FLOAT):
+        raise DomainError(f"{context} requires finite {name} != 0, got {_show(value)}")
 
 
 def _as_params(params: DeformationParams | float) -> DeformationParams:
@@ -247,20 +265,24 @@ def _check_family_params(
 
 
 def _check_level(n: int, name: str = "level") -> int:
-    if type(n) is int and n >= 0:
+    """n as an int in [0, _MAX_LEVEL], else DomainError naming `name`: the bound keeps
+    every exponent the kernels form (up to 5 n) convertible to a float."""
+    if type(n) is int and 0 <= n <= _MAX_LEVEL:
         return n
     if isinstance(n, bool) or not isinstance(n, Integral):
-        raise DomainError(f"{name} must be an integer, got {n!r}")
+        raise DomainError(f"{name} must be an integer, got {_show(n)}")
     if n < 0:
-        raise DomainError(f"{name} must be >= 0, got {n}")
+        raise DomainError(f"{name} must be >= 0, got {_show(int(n))}")  # a numpy int as its int
+    if n > _MAX_LEVEL:
+        raise DomainError(f"{name} must be <= sys.float_info.max / 8, got {_show(n)}")
     return int(n)
 
 
 def _check_tol(tol: float) -> None:
     if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
-    if tol == _INF:  # would accept any residual or bracket
-        raise DomainError(f"tol must be finite, got {tol!r}")
+        raise DomainError(f"tol must be positive, got {_show(tol)}")
+    if tol > _MAX_FLOAT:  # inf, or an int beyond the double range: accepts any residual
+        raise DomainError(f"tol must be finite, got {_show(tol)}")
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +292,7 @@ def _check_tol(tol: float) -> None:
 def bracket_q(n: int, q: float) -> float:
     """q-bracket [n]_q = (1 - q**n)/(1 - q), with the q = 1 limit n taken exactly."""
     _check_level(n)
-    if isinstance(q, complex) or not 0 < q < _INF:
-        raise DomainError(f"bracket_q requires finite real q > 0, got {q!r}")
+    _require_positive(q, "q", "bracket_q")
     if q == 1:
         return float(n)
     return _in_range("bracket_q", (n, q), lambda: (1.0 - q**n) / (1.0 - q))
@@ -280,9 +301,8 @@ def bracket_q(n: int, q: float) -> float:
 def bracket_pq(x: int, q: float, p: float) -> float:
     """(p,q)-bracket [x]_{q,p} = (p**x - q**x)/(p - q); at p = q the limit x*q**(x-1)."""
     _check_level(x)
-    for name, value in (("q", q), ("p", p)):
-        if isinstance(value, complex) or not 0 < value < _INF:
-            raise DomainError(f"bracket_pq requires finite real {name} > 0, got {value!r}")
+    _require_positive(q, "q", "bracket_pq")
+    _require_positive(p, "p", "bracket_pq")
     if p == q:
         return _in_range("bracket_pq", (x, q, p), lambda: x * q ** (x - 1))
     return _in_range("bracket_pq", (x, q, p), lambda: (p**x - q**x) / (p - q))
@@ -295,8 +315,7 @@ def bracket_sym(x: int, q: float | complex) -> float | complex:
     Real for real q and on the unit circle, where it equals sin(x*theta)/sin(theta).
     """
     _check_level(x)
-    if q == 0 or not cmath.isfinite(q):
-        raise DomainError(f"bracket_sym requires finite q != 0, got {q!r}")
+    _require_nonzero(q, "q", "bracket_sym")
     if q == 1 or q == -1:
         return x * q ** (x - 1)
     return _in_range("bracket_sym", (x, q), lambda: (q**x - q ** (-x)) / (q - 1.0 / q))
@@ -309,7 +328,7 @@ def _in_range(name: str, args: tuple, formula: Callable[[], float | complex]) ->
     except OverflowError:
         value = _INF
     if not cmath.isfinite(value):
-        raise DomainError(f"{name}({', '.join(map(repr, args))}) leaves the double-precision range")
+        raise DomainError(f"{name}({', '.join(map(_show, args))}) leaves the double-precision range")
     return value
 
 
@@ -359,7 +378,7 @@ def _phi_power_base(
             return value
         value = _phi_rescaled(a, b, x, n, p)  # a power left the normal range on the way
     if not cmath.isfinite(value):
-        raise DomainError(f"phi({n}) leaves the double-precision range at base {x!r}")
+        raise DomainError(f"phi({_show(n)}) leaves the double-precision range at base {_show(x)}")
     return value
 
 
@@ -412,7 +431,7 @@ def _phi_at(letter: str, x: float, n: int, p: float = 1.0) -> float:
     """
     value = _phi_power_base(letter, x, n, p)
     if value < _MIN_NORMAL and n:  # phi > 0 at real q, p > 0
-        raise DomainError(f"phi({n}) leaves the double-precision range at base {x!r}")
+        raise DomainError(f"phi({_show(n)}) leaves the double-precision range at base {_show(x)}")
     return value
 
 

@@ -13,7 +13,7 @@ from typing import Callable
 
 from .dsf import (
     _EXPONENTS, DeformationParams, FamilyId, _as_params, _check_family_params, _check_level,
-    _prefix, _Record,
+    _MIN_NORMAL, _prefix, _Record, _show,
 )
 from .errors import DomainError
 
@@ -104,8 +104,18 @@ def _power_law(c: float, x: float, e: int) -> Callable[[int], float]:
 
 
 def _operator(c: float, x: float, s: int, a: int, cd: float, b: int) -> Callable[[int], float]:
-    """n -> c x**(s n + a) (1 + cd x**(2n + b)) / 2: G or H of a built-in family."""
-    return lambda n: 0.5 * c * x ** (s * n + a) * (1.0 + cd * x ** (2 * n + b))
+    """n -> c x**(s n + a) (1 + cd x**(2n + b)) / 2: G or H of a built-in family.
+
+    Where the lead power x**(s n + a) is not a normal double but y = x**(2n + b) >= 1
+    dominates the bracket, y is folded into it, 1 + cd y = y (cd + 1/y), so a
+    value in range does not underflow on the way (B and Bt at a base above 1).
+    """
+    def operator(n: int) -> float:
+        lead = x ** (s * n + a)
+        if lead >= _MIN_NORMAL or (x < 1.0) == (2 * n + b > 0):  # the latter: y <= 1
+            return 0.5 * c * lead * (1.0 + cd * x ** (2 * n + b))
+        return 0.5 * c * x ** ((s + 2) * n + a + b) * (cd + x ** -(2 * n + b))
+    return operator
 
 
 def general_gh(
@@ -167,7 +177,7 @@ def verify_ratio_recursions(
     double-precision range.
     """
     if n_max < 2:
-        raise DomainError(f"n_max must be >= 2, got {n_max}")
+        raise DomainError(f"n_max must be >= 2, got {_show(n_max)}")
     _check_level(n_max, "n_max")  # after the bound, so a small int keeps that message
     params = _as_params(params)
     params.require_real_positive("verify_ratio_recursions")

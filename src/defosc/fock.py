@@ -42,7 +42,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .dsf import (
-    DeformationParams, FamilyId, _as_params, _check_level, _check_tol, _levels, _phi_table,
+    DeformationParams, FamilyId, _as_params, _check_level, _check_tol, _levels, _phi_table, _show,
 )
 from .errors import DomainError
 from .families import GHPair, coefficients, gh_pair
@@ -149,9 +149,9 @@ def build_rep(
     """
     family = FamilyId.parse(family)
     params = _as_params(params)
-    _check_level(dim, "dim")
+    dim = _check_level(dim, "dim")
     if not 3 <= dim <= MAX_DIM:
-        raise DomainError(f"dim must be in [3, {MAX_DIM}], got {dim}")
+        raise DomainError(f"dim must be in [3, {MAX_DIM}], got {_show(dim)}")
     if phi is None:
         phi_vals = np.array(_phi_table(family, params, dim + 1))
     else:

@@ -7,11 +7,9 @@ located by a sign-change scan plus bisection in q.
 
 from __future__ import annotations
 
-import math
-
 from .dsf import (
     DeformationParams, FamilyId, _as_params, _check_family_params, _check_level, _check_tol,
-    _in_range, _MAX_FLOAT, _phi_at, _Record, phi_closed,
+    _in_range, _INF, _MAX_FLOAT, _phi_at, _Record, _show, phi_closed,
 )
 from .errors import DomainError
 
@@ -97,7 +95,7 @@ def degeneracy_equation(family: FamilyId | str, q: float, n: int, m: int) -> flo
     _check_level(n)
     # a finite positive float q of a printed one-parameter family passes every
     # check; anything else takes phi_closed's checks in full
-    if not (type(q) is float and 0 < q < math.inf) or family.two_parameter \
+    if not (type(q) is float and 0 < q < _INF) or family.two_parameter \
             or (family.c0, family.d0) != (1.0, 1.0):
         params = DeformationParams(q=q)
         _check_family_params(family, params, "phi_closed", printed=True)
@@ -164,14 +162,14 @@ def find_degeneracy(
     family = FamilyId.parse(family)
     q_lo, q_hi = search
     if not (0 < q_lo < q_hi):
-        raise DomainError(f"search interval must satisfy 0 < q_lo < q_hi, got {search!r}")
+        raise DomainError(f"search interval must satisfy 0 < q_lo < q_hi, got {_show(search)}")
     if q_lo == 1.0 or q_hi == 1.0:
         raise DomainError("search endpoints must differ from the undeformed point q = 1")
     if q_hi > _MAX_FLOAT:  # inf, or an int beyond the double range
-        raise DomainError(f"search endpoints must be finite, got {search!r}")
+        raise DomainError(f"search endpoints must be finite, got {_show(search)}")
     _check_tol(tol)
     if grid < 2:
-        raise DomainError(f"grid must have at least 2 points, got {grid}")
+        raise DomainError(f"grid must have at least 2 points, got {_show(grid)}")
     _check_level(grid, "grid")  # after the bound, so a small int keeps that message
     _check_level(n)
     _check_level(m)

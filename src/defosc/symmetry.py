@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsf import (
-    _EXPONENTS, _INF, DeformationParams, FamilyId, _check_level, _check_tol, _phi_power_base,
+    _EXPONENTS, DeformationParams, FamilyId, _check_level, _check_tol, _phi_power_base,
+    _require_nonzero, _require_positive, _show, bracket_sym,
 )
 from .errors import DegenerateOperatorError, DomainError, NoMetricError
 from .fock import FockRep
@@ -35,17 +36,12 @@ _CROSS_CHECK_TOL = 1e-10
 
 
 def _validate_sym_parameter(q) -> complex:
-    if q == 0:
-        raise DomainError("symmetrized forms require q != 0")
     if isinstance(q, complex) and q.imag != 0:
+        _require_nonzero(q, "q", "phi_symmetrized")
         if abs(abs(q) - 1.0) > _UNIT_CIRCLE_TOL:
-            raise DomainError(
-                f"complex q must lie on the unit circle, got |q| = {abs(q)!r}"
-            )
+            raise DomainError(f"complex q must lie on the unit circle, got |q| = {abs(q)!r}")
         return q
-    q = q.real if isinstance(q, complex) else q
-    if not q > 0:
-        raise DomainError(f"real q must be positive, got {q!r}")
+    _require_positive(q.real, "q", "phi_symmetrized")  # a zero imaginary part counts as real
     return complex(q)
 
 
@@ -79,16 +75,15 @@ def symmetrized_routes(base: FamilyId | str, q, n: int) -> tuple[complex, comple
     ef, ek = _EXPONENTS[letter]
     m = (1 + ef + ek) * n - ef
     try:
-        sym_bracket = (s**n - s**-n) / (s - 1.0 / s)
         fact = (
             (x**m + x**-m)
             * (s ** (n - 1) + s ** (1 - n))
             / ((x**n + x**-n) * (x ** (n - 1) + x ** (1 - n)))
-            * sym_bracket
+            * bracket_sym(n, s)
         )
     except OverflowError:
         raise DomainError(
-            f"factorized symmetrized phi({n}) leaves the double-precision range at q = {q!r}"
+            f"factorized symmetrized phi({_show(n)}) leaves the double-precision range at q = {_show(q)}"
         ) from None
     return avg, fact
 
@@ -104,13 +99,9 @@ def phi_symmetrized(base: FamilyId | str, q, n: int) -> float:
     avg, fact = symmetrized_routes(base, q, n)
     scale = max(1.0, abs(avg), abs(fact))
     if abs(avg - fact) > _CROSS_CHECK_TOL * scale:
-        raise DomainError(
-            f"symmetrized evaluations disagree at n = {n}: {avg!r} vs {fact!r}"
-        )
+        raise DomainError(f"symmetrized evaluations disagree at n = {_show(n)}: {avg!r} vs {fact!r}")
     if abs(avg.imag) > _CROSS_CHECK_TOL * scale:
-        raise DomainError(
-            f"symmetrized value has a stray imaginary part at n = {n}: {avg!r}"
-        )
+        raise DomainError(f"symmetrized value has a stray imaginary part at n = {_show(n)}: {avg!r}")
     return avg.real
 
 
@@ -127,27 +118,17 @@ def phi_symmetrized_qp(base: FamilyId | str, q, p, n: int):
     if not base.two_parameter:
         raise DomainError("phi_symmetrized_qp applies to two-parameter families")
     _check_level(n)
-    if q == 0 or p == 0:
-        raise DomainError("q and p must be nonzero")
-    complex_input = (isinstance(q, complex) and q.imag != 0) or (
-        isinstance(p, complex) and p.imag != 0
-    )
-    if not complex_input:
-        q, p = float(q.real if isinstance(q, complex) else q), float(
-            p.real if isinstance(p, complex) else p
-        )
-        if not (0 < q < _INF and 0 < p < _INF):
-            raise DomainError(
-                f"real parameters must be finite and positive, got q = {q!r}, p = {p!r}"
-            )
+    if isinstance(q, complex) and q.imag != 0 or isinstance(p, complex) and p.imag != 0:
+        _require_nonzero(q, "q", "phi_symmetrized_qp")
+        _require_nonzero(p, "p", "phi_symmetrized_qp")
+    else:  # a zero imaginary part counts as real
+        _require_positive(q.real, "q", "phi_symmetrized_qp")
+        _require_positive(p.real, "p", "phi_symmetrized_qp")
+        q, p = float(q.real), float(p.real)
     for name, ratio in (("q/p", q / p), ("p/q", p / q)):
-        if ratio == 0 or not cmath.isfinite(ratio):
-            raise DomainError(f"phi_symmetrized_qp requires finite {name} != 0, got {ratio!r}")
-    letter = base.tag.letter
-    forward = _phi_power_base(letter, q / p, n, p)
-    swapped = _phi_power_base(letter, p / q, n, q)
-    value = 0.5 * (forward + swapped)
-    return value if complex_input else value.real if isinstance(value, complex) else value
+        _require_nonzero(ratio, name, "phi_symmetrized_qp")
+    letter = base.tag.letter  # real parameters give a float: every base below is real
+    return 0.5 * (_phi_power_base(letter, q / p, n, p) + _phi_power_base(letter, p / q, n, q))
 
 
 @dataclass(frozen=True)
@@ -183,12 +164,12 @@ class MetricDiagonal:
 
 def _target_bands(rep: FockRep, target: str) -> tuple[np.ndarray, np.ndarray]:
     """Sub- and super-diagonal of X or P: T[n+1, n] and T[n, n+1], n = 0..D-2."""
-    name = str(target).strip().upper()
+    name = target.strip().upper() if isinstance(target, str) else target
     if name == "X":
         return rep.x_sub, rep.x_sup
     if name == "P":
         return rep.p_sub, rep.p_sup
-    raise DomainError(f"target must be 'X' or 'P', got {target!r}")
+    raise DomainError(f"target must be 'X' or 'P', got {_show(target)}")
 
 
 def hermiticity_defect(rep: FockRep, target: str) -> float:

@@ -81,9 +81,12 @@ class TestBracketPQ:
         with pytest.raises(DomainError):
             bracket_pq(2, 1.0, 0.0)
 
-    @pytest.mark.parametrize("q,p", [(math.inf, 1.1), (1.1, math.inf), (math.nan, 1.1)])
-    def test_rejects_non_finite(self, q, p):
-        with pytest.raises(DomainError, match="requires finite real"):
+    @pytest.mark.parametrize("q,p,shown", [
+        (math.inf, 1.1, "q > 0, got inf"), (1.1, math.inf, "p > 0, got inf"),
+        (math.nan, 1.1, "q > 0, got nan"),
+    ], ids=["inf-1.1", "1.1-inf", "nan-1.1"])
+    def test_rejects_non_finite(self, q, p, shown):
+        with pytest.raises(DomainError, match=rf"^bracket_pq requires finite {shown}$"):
             bracket_pq(3, q, p)
 
 

@@ -306,3 +306,51 @@ class TestErrorPaths:
                   "--q-range", "nonsense"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+BASE_ARGV = {
+    "dsf": ["dsf"],
+    "spectrum": ["spectrum"],
+    "verify": ["verify"],
+    "degeneracy": ["degeneracy", "--n", "10", "--m", "0", "--q-range", "1.001:1.5"],
+}
+BIG = "1" + "0" * 400
+HOSTILE = [("--dim", BIG), ("--n-max", "-" + BIG), ("--q", "1e308"), ("--q", "5e-324"),
+           ("--tol", "1e-320")]
+DEGENERACY_ONLY = [("--n", BIG), ("--m", BIG), ("--q-range", "5e-324:0.5")]
+
+
+class TestExitCodeContract:
+    """Every subcommand exits 0, 1 or 2 on hostile input and never writes NaN or Infinity."""
+
+    @pytest.mark.parametrize("command,option,value", [
+        pytest.param(command, option, value, id=f"{command}{option}={value[:8]}")
+        for command, hostile in [*((command, HOSTILE) for command in BASE_ARGV),
+                                 ("degeneracy", DEGENERACY_ONLY)]
+        for option, value in hostile])
+    @pytest.mark.parametrize("family", [("A",), ("B",), ("Bt", "--p", "0.9")], ids=["A", "B", "Bt"])
+    def test_hostile_argument(self, capsys, command, option, value, family):
+        argv = [*BASE_ARGV[command], "--family", family[0], "--q", "1.1", *family[1:],
+                "--format", "json", option, value]  # the last --q wins
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+        else:
+            json.loads(out, parse_constant=_reject_constant)
+
+    @pytest.mark.parametrize("argv", [
+        ("--family", "B", "--q", "2", "--dim", "300"),
+        ("--family", "B", "--q", "1.5", "--dim", "500"),
+        ("--family", "Bt", "--q", "1.1", "--p", "0.9", "--dim", "1000"),
+        ("--family", "B", "--q", "1.1", "--dim", "3000"),
+    ])
+    def test_gh_relation_holds_where_the_lead_power_of_h_is_subnormal(self, capsys, argv):
+        # H read 0.0 or lost its digits there, and these exited 1 on a correct algebra
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["residuals"]["gh_relation"] <= 1e-15

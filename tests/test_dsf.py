@@ -16,16 +16,22 @@ from defosc import (
     GHPair,
     SingularRecipeError,
     StructureFunction,
+    bracket_pq,
+    bracket_q,
+    bracket_sym,
     build_rep,
     coefficients,
     degeneracy_equation,
     energy,
+    find_degeneracy,
     general_gh,
     gh_pair,
     ground_state_table,
     phi_closed,
     phi_from_gh,
     phi_ratio_check,
+    phi_symmetrized,
+    phi_symmetrized_qp,
     spectrum,
     verify_gh_relation,
     verify_heisenberg,
@@ -201,14 +207,15 @@ class TestParameterChecks:
     ])
     def test_int_beyond_the_double_range_is_refused(self, call, shown):
         # an int compares exactly with inf, so 10**400 passed and then leaked OverflowError
-        with pytest.raises(DomainError, match=rf"^{shown}, got {10**400}$"):
+        with pytest.raises(DomainError, match=rf"^{shown}, got an int of 401 digits$"):
             call()
 
     def test_largest_int_in_the_double_range_passes(self):
         largest = int(sys.float_info.max)
         DeformationParams(q=largest).require_real_positive()
         DeformationParams(q=1.5, p=largest).require_real_positive()
-        with pytest.raises(DomainError, match=rf"^this operation requires finite q > 0, got {largest + 1}$"):
+        with pytest.raises(DomainError, match=r"^this operation requires finite q > 0, "
+                                              r"got an int of 309 digits$"):
             DeformationParams(q=largest + 1).require_real_positive()
 
     @pytest.mark.parametrize("call,context", PARAM_CHECKS)
@@ -608,3 +615,107 @@ class TestStructureFunction:
         params = DeformationParams(q=1.2)
         assert StructureFunction.closed_form("B", params)(0) == 0.0
         assert StructureFunction.from_gh("B", params)(0) == 0.0
+
+
+BEYOND = 10**400  # an int beyond the double range
+HUGE = 10**5000  # an int past the 4 300-digit int-to-str limit
+LAST = dsf._MAX_LEVEL  # the largest level the checks accept
+
+
+class TestDomainContract:
+    """Every entry refuses a value outside its domain with a short DomainError."""
+
+    @pytest.mark.parametrize("call", [
+        # these raised OverflowError: a level or parameter reached a float conversion
+        lambda: phi_closed("A", 1.1, BEYOND),
+        lambda: energy("A", 1.1, BEYOND),
+        lambda: degeneracy_equation("A", 1.1, BEYOND, 0),
+        lambda: bracket_sym(3, BEYOND),
+        lambda: phi_symmetrized("A", BEYOND, 3),
+        lambda: phi_symmetrized_qp("At", BEYOND, 1.0, 3),
+        lambda: phi_symmetrized_qp("At", 1.1, 0.9, BEYOND),
+        # these raised ValueError while their message was formatted
+        lambda: phi_closed("A", HUGE, 3),
+        lambda: phi_closed(HUGE, 1.1, 3),
+        lambda: build_rep("A", 1.1, HUGE),
+        lambda: spectrum("A", 1.1, -HUGE),
+        lambda: bracket_q(3, HUGE),
+        lambda: bracket_pq(3, HUGE, 1.0),
+        lambda: ground_state_table(HUGE),
+        lambda: verify_ratio_recursions(coefficients("A", 1.1), 1.1, -HUGE),
+        lambda: find_degeneracy("A", 10, 0, (1.001, HUGE), 1e-6),
+        lambda: find_degeneracy("A", 10, 0, (-HUGE, 1.5), 1e-6),
+        lambda: find_degeneracy("A", 10, 0, (1.001, 1.5), 1e-6, grid=HUGE),
+        lambda: find_degeneracy("A", 10, 0, (1.001, 1.5), 1e-6, grid=-HUGE),
+        lambda: find_degeneracy("A", 10, 0, (1.001, 1.5), HUGE),
+        lambda: find_degeneracy("A", 10, 0, (1.001, 1.5), -HUGE),
+    ])
+    def test_refusal_is_a_short_domain_error(self, call):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert len(str(err.value)) < 200
+
+    @pytest.mark.parametrize("call,value", [
+        (lambda: bracket_q(3, BEYOND), "bracket_q requires finite q > 0, got an int of 401 digits"),
+        # these reported that phi(3) leaves the double-precision range at base (inf+0j)
+        # and at base (nan+1j)
+        (lambda: phi_symmetrized("A", math.inf, 3), "phi_symmetrized requires finite q > 0, got inf"),
+        (lambda: phi_symmetrized("A", complex(math.nan, 1), 3),
+         "phi_symmetrized requires finite q != 0, got (nan+1j)"),
+        (lambda: find_degeneracy("A", 10, 0, (-HUGE, 1.5), 1e-6),
+         "search interval must satisfy 0 < q_lo < q_hi, got (a negative int of 5001 digits, 1.5)"),
+        (lambda: find_degeneracy("A", 10, 0, (1.001, 1.5), HUGE),
+         "tol must be finite, got an int of 5001 digits"),
+    ])
+    def test_parameters_are_refused_as_parameters(self, call, value):
+        with pytest.raises(DomainError, match=f"^{re.escape(value)}$"):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda n: phi_closed("B", 1.0, n),
+        lambda n: degeneracy_equation("A", 1.0, n, 0),
+        lambda n: degeneracy_equation("A", 1.0, 0, n),
+        lambda n: bracket_q(n, 0.5),
+        lambda n: bracket_pq(n, 0.5, 0.25),
+        lambda n: bracket_sym(n, 1.0),
+        lambda n: phi_symmetrized("A", 1.0, n),
+        lambda n: phi_symmetrized_qp("At", 1.0, 1.0, n),
+    ])
+    def test_the_level_bound_is_sys_float_info_max_over_8(self, call):
+        assert math.isfinite(call(LAST))
+        with pytest.raises(DomainError, match=rf"^level must be <= sys.float_info.max / 8, "
+                                              rf"got {LAST + 1}$"):
+            call(LAST + 1)
+
+    def test_the_bound_is_exact(self):
+        assert LAST == sys.float_info.max / 8 and type(LAST) is int
+
+    def test_energy_reads_one_level_above_its_own(self):
+        # E(n) reads phi(n + 1): its last level is one below the bound, and the refusal
+        # names the level it reads
+        assert energy("A", 1.0, LAST - 1) == LAST - 0.5
+        with pytest.raises(DomainError, match=rf"^level must be <= .*, got {LAST + 1}$"):
+            energy("A", 1.0, LAST)
+        with pytest.raises(DomainError, match=rf"^level must be <= .*, got {LAST + 1}$"):
+            energy("A", 1.0, LAST + 1)
+
+    def test_a_level_below_the_bound_gives_a_value_or_a_range_refusal(self):
+        # every exponent still converts to a float, so the kernels decide
+        assert phi_closed("B", 1.0, 10**300) == 1e300
+        with pytest.raises(DomainError, match=r"^phi\(\d+\) leaves the double-precision range"):
+            phi_closed("B", 1.1, LAST)
+
+    @pytest.mark.parametrize("value", [1.5, -0.0, math.nan, 2 + 1j, "a~", 42, -7, True,
+                                       sys.float_info.max, int(sys.float_info.max), (1.001, 2.5)])
+    def test_show_is_the_repr_of_an_ordinary_value(self, value):
+        assert dsf._show(value) == repr(value)
+
+    @pytest.mark.parametrize("value,shown", [
+        (int(sys.float_info.max) + 1, "an int of 309 digits"),
+        (BEYOND, "an int of 401 digits"),
+        (BEYOND - 1, "an int of 400 digits"),
+        (-HUGE, "a negative int of 5001 digits"),
+        ((1.001, HUGE), "(1.001, an int of 5001 digits)"),
+    ], ids=["max_plus_1", "10**400", "10**400-1", "-10**5000", "tuple"])
+    def test_show_shortens_an_int_beyond_the_double_range(self, value, shown):
+        assert dsf._show(value) == shown

@@ -1,5 +1,8 @@
+import decimal
 import math
+import sys
 from array import array
+from decimal import Decimal
 
 import pytest
 
@@ -12,6 +15,8 @@ from defosc import (
     coefficients,
     general_gh,
     gh_pair,
+    phi_closed,
+    phi_from_gh,
     ratio_kernel_constancy,
     shift_power,
     verify_ratio_recursions,
@@ -20,6 +25,7 @@ from defosc import (
 from conftest import ALL_FAMILIES, ONE_PARAM, TWO_PARAM, rel_err
 
 SQRT2 = math.sqrt(2.0)
+MIN_NORMAL, MAX = 2.0**-1022, sys.float_info.max
 
 # the paper's printed exponents (f, g, h, k) of base**(e n)/sqrt(2), and the
 # shift s in G(N) = base**s H(N-2), per base letter
@@ -146,8 +152,11 @@ class TestClosuresFromTheMakers:
                 params = DeformationParams(q=q, p=p)
                 cs, pair = coefficients(family, params), gh_pair(family, params)
                 made = {"f": cs.f, "g": cs.g, "h": cs.h, "k": cs.k, "G": pair.G, "H": pair.H}
+                leads = _leads(family, params)
                 for name, reference in _hand_written(family, params).items():
-                    assert _outcomes(made[name], LEVELS) == _outcomes(reference, LEVELS), (
+                    # G and H fold their bracket into a lead power that is not a normal double
+                    levels = [n for n in LEVELS if name not in leads or _normal(leads[name], n)]
+                    assert _outcomes(made[name], levels) == _outcomes(reference, levels), (
                         name, q, p)
 
 
@@ -169,6 +178,21 @@ def _hand_written(family, params):
     }
 
 
+def _leads(family, params):
+    """The lead powers x**(s n + a) of the hand-written G and H."""
+    x = params.power_base
+    ef, _, _, ek = PRINTED_EXPONENTS[family.tag.letter]
+    return {"G": lambda n: x ** ((ef + ek) * n - ef), "H": lambda n: x ** ((ef + ek) * n + ek)}
+
+
+def _normal(lead, n):
+    """lead(n) is a normal double, or raises as the closures then do."""
+    try:
+        return lead(n) >= MIN_NORMAL
+    except OverflowError:
+        return True
+
+
 def _outcomes(fn, levels):
     """The bits of fn(n) per level, and the levels where it raises with the exception type."""
     values, raised = [], []
@@ -179,6 +203,62 @@ def _outcomes(fn, levels):
             values.append(0.0)
             raised.append((n, type(exc)))
     return array("d", values).tobytes(), raised
+
+
+class TestOperatorFold:
+    """G and H where the lead power x**(s n + a) is not a normal double but the value is."""
+
+    @pytest.mark.parametrize("tag,c0,d0", CONSTANTS)
+    def test_matches_the_exact_product(self, tag, c0, d0):
+        family = FamilyId(FamilyTag.parse(tag), c0, d0)
+        checked = 0
+        for q in GRID_Q + (1.1,):
+            for p in (GRID_P + (0.9,) if family.two_parameter else (None,)):
+                params = DeformationParams(q=q, p=p)
+                pair, leads = gh_pair(family, params), _leads(family, params)
+                exact = _exact_operators(family, params)
+                for name in ("G", "H"):
+                    for n in LEVELS:
+                        if _normal(leads[name], n):
+                            continue
+                        true, power = exact[name](n)
+                        # the fold forms the power x**(s n + a) x**(2n + b) as one
+                        if MIN_NORMAL <= abs(true) <= MAX and power <= MAX:
+                            assert rel_err(getattr(pair, name)(n), float(true)) <= 1e-14, (
+                                name, q, p, n)
+                            checked += 1
+        if family.tag.letter == "B" and c0 * d0:  # the window B and Bt have at a base above 1
+            assert checked
+
+    def test_bt_reads_the_true_value_at_level_999(self):
+        params = DeformationParams(q=1.1, p=0.9)
+        exact = float(_exact_operators(FamilyId.parse("Bt"), params)["H"](999)[0])
+        assert rel_err(gh_pair("Bt", params).H(999), exact) <= 1e-15  # 3.4e-175; it read 0.0
+
+    def test_bt_recipe_matches_the_closed_form_at_level_930(self):
+        # H(927) read 0.0, so the recipe raised SingularRecipeError on a regular algebra
+        params = DeformationParams(q=1.1, p=0.9)
+        pair = gh_pair("Bt", params)
+        assert rel_err(phi_from_gh(pair.G, pair.H, 930), phi_closed("Bt", params, 930)) <= 1e-14
+
+
+def _exact_operators(family, params):
+    """G and H at the float base x to 40 digits, c x**(s n + a) (1 + cd x**(2n + b)) / 2,
+    each with its power x**(s n + a + 2n + b)."""
+    context = decimal.Context(prec=40, Emin=-10**6, Emax=10**6)
+    x, q = Decimal(params.power_base), Decimal(params.q)
+    pref = Decimal(params.p) if family.two_parameter else Decimal(1)
+    ef, _, _, ek = PRINTED_EXPONENTS[family.tag.letter]
+    s, cd = ef + ek, Decimal(family.c0) * Decimal(family.d0)
+
+    def operator(c, a, b):
+        def exact(n):
+            with decimal.localcontext(context):
+                return (c * x ** (s * n + a) * (1 + cd * x ** (2 * n + b)) / 2,
+                        x ** ((s + 2) * n + a + b))
+        return exact
+
+    return {"G": operator(q, -ef, -2), "H": operator(pref, ek, 2)}
 
 
 class TestGeneralGH:

@@ -184,11 +184,12 @@ class TestTwoParameterSymmetrization:
         with pytest.raises(DomainError):
             phi_symmetrized_qp("At", -1.0, 1.1, 3)
 
-    @pytest.mark.parametrize("q,p", [
-        (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (complex(math.inf, 0), 1.0),
-    ])
-    def test_real_parameters_must_be_finite(self, q, p):
-        with pytest.raises(DomainError, match=r"^real parameters must be finite and positive, "):
+    @pytest.mark.parametrize("q,p,shown", [
+        (math.inf, 1.0, "q > 0, got inf"), (1.0, math.inf, "p > 0, got inf"),
+        (math.nan, 1.0, "q > 0, got nan"), (complex(math.inf, 0), 1.0, "q > 0, got inf"),
+    ], ids=["inf-1.0", "1.0-inf", "nan-1.0", "(inf+0j)-1.0"])
+    def test_real_parameters_must_be_finite(self, q, p, shown):
+        with pytest.raises(DomainError, match=rf"^phi_symmetrized_qp requires finite {shown}$"):
             phi_symmetrized_qp("At", q, p, 4)
 
     @pytest.mark.parametrize("q,p,name,shown", [
