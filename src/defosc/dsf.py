@@ -16,9 +16,10 @@ and strictly positive (complex unit-circle parameters are the business of
 from __future__ import annotations
 
 import cmath
+import math
 import sys
 from enum import Enum
-from numbers import Integral, Real
+from numbers import Integral, Rational, Real
 from typing import Callable, Literal
 import unicodedata
 
@@ -46,10 +47,16 @@ _MAX_LEVEL = int(_MAX_FLOAT) // 8  # the kernels' exponents, up to 5 n, must con
 
 
 def _show(value: object) -> str:
-    """repr(value) for a message, but an int beyond the double range as "an int of 401 digits":
-    its digits would flood the message, and past 4 300 of them repr raises."""
+    """repr(value) for a message, but an int beyond the double range as "an int of 401 digits",
+    and a Fraction with a numerator or denominator beyond it as "a Fraction near 3.3e+399":
+    the digits would flood the message, and past 4 300 of them repr raises."""
     if isinstance(value, tuple) and len(value) > 1:
         return f"({', '.join(map(_show, value))})"
+    if isinstance(value, Rational) and not isinstance(value, Integral) \
+            and max(abs(value.numerator), value.denominator) > _MAX_FLOAT:
+        e = math.log10(abs(value.numerator)) - math.log10(value.denominator)
+        near = f"{'-' * (value < 0)}{10 ** (e % 1):.2g}e{math.floor(e):+d}"
+        return f"a {type(value).__name__} near {near}"
     if not isinstance(value, int) or abs(value) <= _MAX_FLOAT:
         return repr(value)
     digits = int((abs(value).bit_length() - 1) * 0.3010299956639812) + 1  # times log10(2)
@@ -193,7 +200,9 @@ class DeformationParams(_Record):
 
     def __init__(self, q: float | complex, p: float | complex | None = None):
         # a numpy real scalar as the Python float or int it holds: no numpy arithmetic in the kernels
+        # and a Fraction beyond the double range as itself, which require_real_positive refuses
         q, p = [v if type(v) is float or v is None or isinstance(v, int) or not isinstance(v, Real)
+                or isinstance(v, Rational) and abs(v) > _MAX_FLOAT
                 else (int if isinstance(v, Integral) else float)(v) for v in (q, p)]
         if p is not None and p == 0:
             raise DomainError("p = 0 is not admissible (Q = q/p must be finite)")
@@ -295,7 +304,8 @@ def bracket_q(n: int, q: float) -> float:
     _require_positive(q, "q", "bracket_q")
     if q == 1:
         return float(n)
-    return _in_range("bracket_q", (n, q), lambda: (1.0 - q**n) / (1.0 - q))
+    x = float(q)  # an int q would build the exact int q**n before the range refusal
+    return _in_range("bracket_q", (n, q), lambda: (1.0 - x**n) / (1.0 - x))
 
 
 def bracket_pq(x: int, q: float, p: float) -> float:
@@ -303,9 +313,10 @@ def bracket_pq(x: int, q: float, p: float) -> float:
     _check_level(x)
     _require_positive(q, "q", "bracket_pq")
     _require_positive(p, "p", "bracket_pq")
-    if p == q:
-        return _in_range("bracket_pq", (x, q, p), lambda: x * q ** (x - 1))
-    return _in_range("bracket_pq", (x, q, p), lambda: (p**x - q**x) / (p - q))
+    fq, fp = float(q), float(p)  # as in bracket_q
+    if fp == fq:
+        return _in_range("bracket_pq", (x, q, p), lambda: x * fq ** (x - 1))
+    return _in_range("bracket_pq", (x, q, p), lambda: (fp**x - fq**x) / (fp - fq))
 
 
 def bracket_sym(x: int, q: float | complex) -> float | complex:
@@ -318,14 +329,15 @@ def bracket_sym(x: int, q: float | complex) -> float | complex:
     _require_nonzero(q, "q", "bracket_sym")
     if q == 1 or q == -1:
         return x * q ** (x - 1)
-    return _in_range("bracket_sym", (x, q), lambda: (q**x - q ** (-x)) / (q - 1.0 / q))
+    s = float(q) if isinstance(q, Real) else q  # as in bracket_q
+    return _in_range("bracket_sym", (x, q), lambda: (s**x - s ** (-x)) / (s - 1.0 / s))
 
 
 def _in_range(name: str, args: tuple, formula: Callable[[], float | complex]) -> float | complex:
     """formula(), or DomainError naming the call `name(*args)` when it leaves the double range."""
     try:
         value = formula()
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # the latter: a q or p that underflowed to 0.0
         value = _INF
     if not cmath.isfinite(value):
         raise DomainError(f"{name}({', '.join(map(_show, args))}) leaves the double-precision range")
@@ -467,27 +479,20 @@ def phi_from_gh(G: Callable[[int], float], H: Callable[[int], float], n: int) ->
     raise DomainError(f"recipe phi({k + 1}) leaves the double-precision range")
 
 
-def _prefix(fn: Callable[[int], float], levels: range) -> list[float]:
-    """fn over levels, up to the first level where it raises OverflowError or ZeroDivisionError."""
-    try:
-        return [fn(n) for n in levels]
-    except (OverflowError, ZeroDivisionError):
-        values = []
-        for n in levels:
-            try:
-                values.append(fn(n))
-            except (OverflowError, ZeroDivisionError):
-                return values
-        return values
-
-
 def _levels(fn: Callable[[int], float], stage: str, levels: range) -> list[float]:
     """fn over levels; DomainError naming the first level that raises or is not finite."""
-    values = _prefix(fn, levels)
-    if len(values) == len(levels) and all(map(cmath.isfinite, values)):
-        return values
-    # the first non-finite value, else the level where fn raised, which the inf stands for
-    bad = next(n for n, value in zip(levels, values + [_INF]) if not cmath.isfinite(value))
+    try:
+        values = [fn(n) for n in levels]
+        if all(map(cmath.isfinite, values)):
+            return values
+        bad = next(n for n, value in zip(levels, values) if not cmath.isfinite(value))
+    except (OverflowError, ZeroDivisionError):
+        for bad in levels:  # the values before the raise are lost: walk to the first bad one
+            try:
+                if not cmath.isfinite(fn(bad)):
+                    break
+            except (OverflowError, ZeroDivisionError):
+                break
     raise DomainError(f"{stage}({bad}) leaves the double-precision range")
 
 

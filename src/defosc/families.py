@@ -13,7 +13,7 @@ from typing import Callable
 
 from .dsf import (
     _EXPONENTS, DeformationParams, FamilyId, _as_params, _check_family_params, _check_level,
-    _MIN_NORMAL, _prefix, _Record, _show,
+    _MIN_NORMAL, _Record, _show,
 )
 from .errors import DomainError
 
@@ -182,29 +182,25 @@ def verify_ratio_recursions(
     params = _as_params(params)
     params.require_real_positive("verify_ratio_recursions")
     x = params.power_base
-    # level n reads f, h at n and n + 1 and g, k at n - 1 and n; each table
-    # stops before its first failing level, and the first level that would
-    # read that entry is where the recursions leave the range
-    f = _prefix(cs.f, range(0, n_max + 2))
-    h = _prefix(cs.h, range(0, n_max + 2))
-    g = _prefix(cs.g, range(-1, n_max + 1))
-    k = _prefix(cs.k, range(-1, n_max + 1))
-    stop = min(n_max + 1, len(f) - 1, len(h) - 1, len(g) - 1, len(k) - 1)
-    worst, inf = 0.0, math.inf
-    for n, f0, f1, h0, h1, g0, g1, k0, k1 in zip(
-            range(stop), f, f[1:], h, h[1:], g, g[1:], k, k[1:]):
-        try:
+    # level n reads f, h at n and n + 1 and g, k at n - 1 and n: one walk carries the
+    # previous level's values, and the first level that reads a bad one is refused
+    f, g, h, k = cs.f, cs.g, cs.h, cs.k
+    worst, inf, n = 0.0, math.inf, 0
+    try:
+        f0, h0, g0, k0 = f(0), h(0), g(-1), k(-1)
+        for n in range(n_max + 1):
+            f1, h1, g1, k1 = f(n + 1), h(n + 1), g(n), k(n)
             total = abs(h1 / h0 - x * f1 / f0) + abs(k0 / k1 - x * g0 / g1)
-        except ZeroDivisionError:
-            total = inf
-        if not total < inf:
-            stop = n
-            break
-        if total > worst:
-            worst = total
-    if stop <= n_max:
-        raise DomainError(f"ratio recursions leave the double-precision range at level {stop}")
-    return worst
+            if not total < inf:
+                break
+            if total > worst:
+                worst = total
+            f0, h0, g0, k0 = f1, h1, g1, k1
+        else:
+            return worst
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise DomainError(f"ratio recursions leave the double-precision range at level {n}")
 
 
 def ratio_kernel_constancy(

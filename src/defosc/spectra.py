@@ -8,8 +8,8 @@ located by a sign-change scan plus bisection in q.
 from __future__ import annotations
 
 from .dsf import (
-    DeformationParams, FamilyId, _as_params, _check_family_params, _check_level, _check_tol,
-    _in_range, _INF, _MAX_FLOAT, _phi_at, _Record, _show, phi_closed,
+    _EXPONENTS, DeformationParams, FamilyId, _as_params, _check_family_params, _check_level,
+    _check_tol, _in_range, _INF, _MAX_FLOAT, _phi_at, _Record, _show, phi_closed,
 )
 from .errors import DomainError
 
@@ -65,19 +65,19 @@ def spectrum(family: FamilyId | str, params: DeformationParams | float, n_max: i
 def ground_state_table(params: DeformationParams | float) -> tuple[float, float, float, float]:
     """Ground-state energies (E1(0), E2(0), E3(0), E4(0)) of the four families.
 
-    Closed forms: E1 = E3 = q**-1/(1 + q**2) and E2 = E4 = q**2/(1 + q**2);
-    above/below the undeformed 1/2 depending on the side of q = 1.  Only the
-    one-parameter families have these printed values.  Raises DomainError
-    naming the call when a value leaves the double-precision range.
+    E(0) = phi(1)/2 = q**-e_k/(1 + q**2) from each family's exponent pair, so
+    E1 = E3 = q**-1/(1 + q**2) and E2 = E4 = q**2/(1 + q**2); above/below the
+    undeformed 1/2 depending on the side of q = 1.  Only the one-parameter
+    families have these printed values.  Raises DomainError naming the call
+    when a value leaves the double-precision range.
     """
     params = _as_params(params)
     if params.two_parameter:
         raise DomainError("ground_state_table covers the one-parameter families only")
     params.require_real_positive("ground_state_table")
     q = params.q
-    low = _in_range("ground_state_table", (q,), lambda: q**-1 / (1.0 + q**2))
-    high = _in_range("ground_state_table", (q,), lambda: q**2 / (1.0 + q**2))
-    return (low, high, low, high)
+    return tuple(_in_range("ground_state_table", (q,), lambda: q**-ek / (1.0 + q**2))
+                 for _, ek in _EXPONENTS.values())
 
 
 def degeneracy_equation(family: FamilyId | str, q: float, n: int, m: int) -> float:

@@ -187,36 +187,29 @@ def find_metric(rep: FockRep, target: str = "X", tol: float = 1e-10) -> MetricDi
     """Positive diagonal eta with eta T eta^-1 = T^dagger on the trusted block.
 
     For tridiagonal T the relation fixes eta up to scale through
-    eta(n+1)/eta(n) = conj(T[n,n+1]) / T[n+1,n]; the same ratio obtained from
-    the transposed entry must agree, the ratio must be real and positive, and
-    the assembled eta must satisfy the full relation to `tol`.  eta(0) = 1.
+    eta(n+1)/eta(n) = r = conj(T[n,n+1]) / T[n+1,n].  The same ratio obtained
+    from the transposed entry, T[n,n+1] / conj(T[n+1,n]), is conj(r) bit for
+    bit, so each link forms r once: their gap 2 |Im r| must not exceed
+    tol max(1, |r|), and Re r must be positive.  The assembled eta must satisfy
+    the full relation to `tol`.  eta(0) = 1.
     """
     _check_tol(tol)
     rep.params.require_real_positive("find_metric")
     sub_band, sup_band = _target_bands(rep, target)
     eta = np.empty(rep.dim)
     eta[0] = level = 1.0
-    worst_gap, worst_idx = 0.0, 0
     for n, (sub, sup) in enumerate(zip(sub_band.tolist(), sup_band.tolist())):
         if sub == 0 or sup == 0:
             raise DegenerateOperatorError(
                 f"{target} has a vanishing off-diagonal entry at level {n}"
             )
-        if sup.conjugate() == sub:  # entry pair already Hermitian: ratio exactly 1
-            eta[n + 1] = level
-            continue
-        r_up = sup.conjugate() / sub
-        r_down = sup / sub.conjugate()
-        gap = abs(r_up - r_down)
-        if gap > worst_gap:
-            worst_gap, worst_idx = gap, n
-        if gap > tol * max(1.0, abs(r_up)):
-            raise NoMetricError("entrywise metric conditions are inconsistent", worst_idx)
-        if abs(r_up.imag) > tol * max(1.0, abs(r_up)) or r_up.real <= 0:
-            raise NoMetricError(f"metric ratio at level {n} is not positive: {r_up!r}", n)
-        level *= r_up.real
-        if not 0.0 < level < float("inf"):
-            raise NoMetricError("metric entries left the double-precision range", n + 1)
+        if sup.conjugate() != sub:  # else the entry pair is Hermitian: ratio exactly 1
+            r = sup.conjugate() / sub
+            if 2.0 * abs(r.imag) > tol * max(1.0, abs(r)) or r.real <= 0:
+                raise NoMetricError(f"metric ratio at level {n} is not real and positive: {r!r}", n)
+            level *= r.real
+            if not 0.0 < level < float("inf"):
+                raise NoMetricError("metric entries left the double-precision range", n + 1)
         eta[n + 1] = level
 
     # the similarity relation on the trusted block, link by link: entries

@@ -25,3 +25,19 @@ def assert_close(value, reference, rel=1e-12, abs_tol=0.0):
     assert math.isclose(value, reference, rel_tol=rel, abs_tol=abs_tol), (
         f"{value!r} != {reference!r} (rel_tol={rel}, abs_tol={abs_tol})"
     )
+
+
+def prefix_table(fn, levels):
+    """fn over levels, up to the first level where it raises OverflowError or
+    ZeroDivisionError: the rule of the former dsf._prefix, kept as the reference of
+    dsf._levels and families.verify_ratio_recursions."""
+    try:
+        return [fn(n) for n in levels]
+    except (OverflowError, ZeroDivisionError):
+        values = []
+        for n in levels:
+            try:
+                values.append(fn(n))
+            except (OverflowError, ZeroDivisionError):
+                return values
+        return values

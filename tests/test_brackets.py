@@ -1,6 +1,8 @@
 import cmath
 import math
 import re
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -138,3 +140,45 @@ def test_out_of_range_names_the_bracket(bracket, args):
     shown = re.escape(f"{bracket.__name__}{args!r}")
     with pytest.raises(DomainError, match=rf"^{shown} leaves the double-precision range$"):
         bracket(*args)
+
+
+@pytest.mark.parametrize("bracket,args", [
+    (bracket_q, (10**7, 3)),
+    (bracket_pq, (10**7, 3, 2)),
+    (bracket_pq, (10**7, 3, 3)),  # the p = q limit
+    (bracket_sym, (10**7, 3)),
+])
+def test_an_int_parameter_is_refused_without_its_exact_power(bracket, args):
+    # an int q or p is evaluated as the float it converts to, and kept in the message
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=rf"^{re.escape(f'{bracket.__name__}{args!r}')} leaves"):
+        bracket(*args)
+    assert time.perf_counter() - start < 0.1
+
+
+def _value_or_refusal(bracket, *args):
+    try:
+        return bracket(*args)
+    except DomainError:
+        return "refused"
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 33, 34, 100, 600])
+@pytest.mark.parametrize("q", [2, 3, 7])
+def test_an_int_parameter_gives_the_value_of_its_float(n, q):
+    # where q**n > 2**53 this differs from the exact int power by up to an ulp
+    for bracket, args, floats in [
+        (bracket_q, (n, q), (n, float(q))),
+        (bracket_pq, (n, q, 5), (n, float(q), 5.0)),
+        (bracket_pq, (n, q, q), (n, float(q), float(q))),
+        (bracket_sym, (n, q), (n, float(q))),
+    ]:
+        assert _value_or_refusal(bracket, *args) == _value_or_refusal(bracket, *floats)
+
+
+def test_parameters_that_underflow_as_floats_are_a_range_refusal():
+    # both convert to 0.0, so their difference divides by zero
+    tiny, tinier = Fraction(2, 10**400), Fraction(1, 10**400)
+    with pytest.raises(DomainError, match=r"^bracket_pq\(0, a Fraction near 2e-400, "
+                                          r"a Fraction near 1e-400\) leaves"):
+        bracket_pq(0, tiny, tinier)

@@ -1,4 +1,6 @@
+import cmath
 import math
+import random
 import re
 import sys
 from fractions import Fraction
@@ -40,7 +42,7 @@ from defosc import (
 )
 from defosc import dsf
 
-from conftest import ALL_FAMILIES, ONE_PARAM, TWO_PARAM, assert_close, rel_err
+from conftest import ALL_FAMILIES, ONE_PARAM, TWO_PARAM, assert_close, prefix_table, rel_err
 
 Q_GRID = (0.8, 0.99, 1.015, 1.1, 1.5)
 P_GRID = (1.0, 1.1, 1.3)
@@ -563,6 +565,60 @@ class TestPhiFromGH:
         assert lhs == pytest.approx(1.0, rel=1e-9)
 
 
+def _prefix_levels(fn, stage, levels):
+    """dsf._levels as it was, on the partial table of prefix_table."""
+    values = prefix_table(fn, levels)
+    if len(values) == len(levels) and all(map(cmath.isfinite, values)):
+        return values
+    bad = next(n for n, value in zip(levels, values + [math.inf]) if not cmath.isfinite(value))
+    raise DomainError(f"{stage}({bad}) leaves the double-precision range")
+
+
+def _table_outcome(table, fn, levels):
+    """("returns", the reprs of table(fn, "G", levels)) or ("raises", type, message)."""
+    try:
+        return "returns", [repr(value) for value in table(fn, "G", levels)]
+    except DomainError as exc:
+        return "raises", type(exc), str(exc)
+
+
+class TestLevelsReference:
+    """dsf._levels, which walks again only on failure, against the pair it replaced."""
+
+    BAD = (math.inf, -math.inf, math.nan, complex(math.inf, 1), complex(1, math.nan),
+           OverflowError, ZeroDivisionError)
+
+    @staticmethod
+    def _closure(bad_at):
+        def fn(n):
+            bad = bad_at.get(n)
+            if bad is None:
+                return 1.5 ** n if n % 3 else complex(n, -n)
+            if isinstance(bad, (float, complex)):
+                return bad
+            raise bad("at the chosen level")
+        return fn
+
+    @pytest.mark.parametrize("levels", [range(0), range(0, 1), range(0, 7), range(-1, 9),
+                                        range(3, 4), range(0, 301)], ids=repr)
+    def test_one_and_two_bad_levels(self, levels):
+        cases = [{}]
+        cases += [{n: bad} for n in list(levels)[:12] + list(levels)[-3:] for bad in self.BAD]
+        rng = random.Random(len(levels))
+        cases += [{rng.choice(levels): rng.choice(self.BAD) for _ in range(2)}
+                  for _ in range(60) if len(levels)]
+        for bad_at in cases:
+            fn = self._closure(bad_at)
+            assert _table_outcome(dsf._levels, fn, levels) == _table_outcome(
+                _prefix_levels, fn, levels), bad_at
+
+    def test_a_closure_of_the_package(self):
+        pair = gh_pair("B", 0.5)  # H(n) raises OverflowError from n = 256
+        for levels in (range(0, 255), range(0, 300), range(250, 260)):
+            assert _table_outcome(dsf._levels, pair.H, levels) == _table_outcome(
+                _prefix_levels, pair.H, levels)
+
+
 class TestPhiRatio:
     def test_family_b_first_level(self):
         assert phi_ratio_check("B", "A", 1.1, 1) == pytest.approx(1.1**3, rel=1e-12)
@@ -719,3 +775,52 @@ class TestDomainContract:
     ], ids=["max_plus_1", "10**400", "10**400-1", "-10**5000", "tuple"])
     def test_show_shortens_an_int_beyond_the_double_range(self, value, shown):
         assert dsf._show(value) == shown
+
+
+FRACTION_BEYOND = Fraction(10**400, 3)  # float() of it raises OverflowError
+
+
+class TestFractionsBeyondTheDoubleRange:
+    """A Fraction that no double holds is refused as not finite, with a short message."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: phi_closed("A", FRACTION_BEYOND, 3),
+         "phi_closed requires finite q > 0, got a Fraction near 3.3e+399"),
+        (lambda: phi_closed("A", -FRACTION_BEYOND, 3),
+         "phi_closed requires finite q > 0, got a Fraction near -3.3e+399"),
+        (lambda: phi_closed("At", DeformationParams(q=1.1, p=FRACTION_BEYOND), 3),
+         "phi_closed requires finite p > 0, got a Fraction near 3.3e+399"),
+        (lambda: coefficients("B", FRACTION_BEYOND),
+         "coefficients requires finite q > 0, got a Fraction near 3.3e+399"),
+        (lambda: ground_state_table(FRACTION_BEYOND),
+         "ground_state_table requires finite q > 0, got a Fraction near 3.3e+399"),
+        (lambda: bracket_q(3, Fraction(10**5000, 3)),
+         "bracket_q requires finite q > 0, got a Fraction near 3.3e+4999"),
+        (lambda: bracket_pq(3, 1.1, FRACTION_BEYOND),
+         "bracket_pq requires finite p > 0, got a Fraction near 3.3e+399"),
+        (lambda: bracket_sym(3, FRACTION_BEYOND),
+         "bracket_sym requires finite q != 0, got a Fraction near 3.3e+399"),
+    ])
+    def test_refusal_is_a_short_domain_error(self, call, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$") as err:
+            call()
+        assert len(str(err.value)) < 200
+
+    def test_the_fraction_is_kept_unconverted(self):
+        assert DeformationParams(q=FRACTION_BEYOND).q is FRACTION_BEYOND
+
+    def test_a_fraction_in_range_is_its_float(self):
+        assert DeformationParams(q=Fraction(3, 2)).q == 1.5
+        assert phi_closed("A", Fraction(3, 2), 3) == 0.05412597168930145
+
+    @pytest.mark.parametrize("value,shown", [
+        (Fraction(10**400, 3), "a Fraction near 3.3e+399"),
+        (Fraction(-10**5000, 7), "a Fraction near -1.4e+4999"),
+        (Fraction(1, 10**400), "a Fraction near 1e-400"),
+        ((2, Fraction(1, 10**5000)), "(2, a Fraction near 1e-5000)"),
+    ])
+    def test_show_shortens_a_fraction_of_huge_terms(self, value, shown):
+        assert dsf._show(value) == shown
+
+    def test_show_keeps_the_repr_of_an_ordinary_fraction(self):
+        assert dsf._show(Fraction(3, 2)) == "Fraction(3, 2)"

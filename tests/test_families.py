@@ -1,5 +1,6 @@
 import decimal
 import math
+import random
 import sys
 from array import array
 from decimal import Decimal
@@ -22,7 +23,7 @@ from defosc import (
     verify_ratio_recursions,
 )
 
-from conftest import ALL_FAMILIES, ONE_PARAM, TWO_PARAM, rel_err
+from conftest import ALL_FAMILIES, ONE_PARAM, TWO_PARAM, prefix_table, rel_err
 
 SQRT2 = math.sqrt(2.0)
 MIN_NORMAL, MAX = 2.0**-1022, sys.float_info.max
@@ -425,6 +426,146 @@ def _outcome(fn, *args):
         return "returns", fn(*args)
     except DomainError as exc:
         return "raises", str(exc)
+
+
+def _tabled_ratio_recursions(cs, params, n_max):
+    """verify_ratio_recursions as it was with four partial level tables and a stop index."""
+    if n_max < 2:
+        raise DomainError(f"n_max must be >= 2, got {n_max!r}")
+    params = DeformationParams(q=params) if not isinstance(params, DeformationParams) else params
+    params.require_real_positive("verify_ratio_recursions")
+    x = params.power_base
+    f = prefix_table(cs.f, range(0, n_max + 2))
+    h = prefix_table(cs.h, range(0, n_max + 2))
+    g = prefix_table(cs.g, range(-1, n_max + 1))
+    k = prefix_table(cs.k, range(-1, n_max + 1))
+    stop = min(n_max + 1, len(f) - 1, len(h) - 1, len(g) - 1, len(k) - 1)
+    worst, inf = 0.0, math.inf
+    for n, f0, f1, h0, h1, g0, g1, k0, k1 in zip(
+            range(stop), f, f[1:], h, h[1:], g, g[1:], k, k[1:]):
+        try:
+            total = abs(h1 / h0 - x * f1 / f0) + abs(k0 / k1 - x * g0 / g1)
+        except ZeroDivisionError:
+            total = inf
+        if not total < inf:
+            stop = n
+            break
+        if total > worst:
+            worst = total
+    if stop <= n_max:
+        raise DomainError(f"ratio recursions leave the double-precision range at level {stop}")
+    return worst
+
+
+def _bits(fn, *args):
+    """("returns", the float's hex) or ("raises", type, message): equal bits compare equal."""
+    try:
+        return "returns", float.hex(fn(*args))
+    except DomainError as exc:
+        return "raises", type(exc), str(exc)
+
+
+def _broken(name, level, bad):
+    """The printed A quadruple at q = 1.1 with coefficient `name` made `bad` at `level`."""
+    cs = coefficients("A", 1.1)
+    good = getattr(cs, name)
+
+    def fn(n):
+        if n != level:
+            return good(n)
+        if isinstance(bad, float):
+            return bad
+        raise bad("at the chosen level")
+
+    return CoefficientSet(**{"f": cs.f, "g": cs.g, "h": cs.h, "k": cs.k, name: fn})
+
+
+BAD_ENTRIES = (math.inf, -math.inf, math.nan, 0.0, OverflowError, ZeroDivisionError)
+
+
+class TestRatioWalkReference:
+    """The one-walk verify_ratio_recursions against its tabled form: equal bits, equal
+    refusals, except that a failing f(0), h(0), g(-1) or k(-1) is refused at level 0, the
+    first level that reads it, where the tables said level -1."""
+
+    @staticmethod
+    def _expected(cs, params, n_max):
+        outcome = _bits(_tabled_ratio_recursions, cs, params, n_max)
+        if outcome[0] == "raises" and outcome[2].endswith("at level -1"):
+            return "raises", DomainError, outcome[2].replace("level -1", "level 0")
+        return outcome
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("q", (1e-200, 0.5, 0.9, 1.0, 1.1, 2.0, 1e200))
+    @pytest.mark.parametrize("n_max", (3, 4, 30, 300))
+    def test_builtin_quadruples(self, family, q, n_max):
+        params = params_for(family, q)
+        cs = coefficients(family, params)
+        assert _bits(verify_ratio_recursions, cs, params, n_max) == self._expected(
+            cs, params, n_max)
+
+    @pytest.mark.parametrize("name", "fghk")
+    @pytest.mark.parametrize("bad", BAD_ENTRIES, ids=repr)
+    def test_one_bad_entry(self, name, bad):
+        for n_max in (3, 4, 30):
+            for level in (-1, 0, 1, 2, n_max - 1, n_max, n_max + 1):
+                cs = _broken(name, level, bad)
+                assert _bits(verify_ratio_recursions, cs, 1.1, n_max) == self._expected(
+                    cs, 1.1, n_max), (name, level, n_max)
+
+    def test_two_bad_entries(self):
+        # the first level that reads either is refused, whichever coefficient it is in
+        rng = random.Random(17)
+        for _ in range(300):
+            n_max = rng.choice((3, 4, 30))
+            cs = coefficients("A", 1.1)
+            entries = {"f": cs.f, "g": cs.g, "h": cs.h, "k": cs.k}
+            for name in rng.sample("fghk", 2):
+                level, bad = rng.randint(-1, n_max + 1), rng.choice(BAD_ENTRIES)
+                entries[name] = getattr(_broken(name, level, bad), name)
+            cs = CoefficientSet(**entries)
+            assert _bits(verify_ratio_recursions, cs, 1.1, n_max) == self._expected(
+                cs, 1.1, n_max)
+
+    def test_user_quadruples(self):
+        # random positive coefficient tables, constant and not, at both parameter counts
+        rng = random.Random(5)
+        for _ in range(200):
+            table = {name: [rng.lognormvariate(0, 3) for _ in range(40)] for name in "fghk"}
+            cs = CoefficientSet(**{name: (lambda t: lambda n: t[n + 1])(t)
+                                   for name, t in table.items()})
+            params = rng.choice((0.7, 1.3, DeformationParams(q=1.1, p=0.9)))
+            n_max = rng.choice((3, 4, 30))
+            assert _bits(verify_ratio_recursions, cs, params, n_max) == self._expected(
+                cs, params, n_max)
+
+    @pytest.mark.parametrize("family,q", [
+        *((family, q) for family in ("A", "C", "At", "Ct") for q in (1e-300, 1e-200)),
+        *((family, q) for family in ("B", "D", "Bt", "Dt") for q in (1e200, 1e300)),
+    ])
+    def test_an_overflowing_first_entry_is_refused_at_level_0(self, family, q):
+        # g(-1) = x**-(e_k + 1)/sqrt(2) overflows here; the tables said level -1
+        params = params_for(family, q)
+        with pytest.raises(DomainError, match=r"^ratio recursions leave the "
+                                              r"double-precision range at level 0$"):
+            verify_ratio_recursions(coefficients(family, params), params, 5)
+
+    @pytest.mark.parametrize("name,level", [("f", 0), ("h", 0), ("g", -1), ("k", -1)])
+    def test_each_first_entry_names_level_0(self, name, level):
+        cs = _broken(name, level, OverflowError)
+        with pytest.raises(DomainError, match=r"^ratio recursions leave the "
+                                              r"double-precision range at level 0$"):
+            verify_ratio_recursions(cs, 1.1, 5)
+
+    def test_the_walk_stops_at_the_first_bad_level(self):
+        # the tables read every level before refusing; the walk reads up to the refusal
+        cs = coefficients("A", 1.1)
+        calls = []
+        counted = CoefficientSet(f=lambda n: calls.append(n) or cs.f(n),
+                                 g=cs.g, h=_broken("h", 6, math.nan).h, k=cs.k)
+        with pytest.raises(DomainError, match="at level 5$"):
+            verify_ratio_recursions(counted, 1.1, 300)
+        assert calls == list(range(0, 7))
 
 
 class TestRatioKernelDiagnostic:

@@ -1,5 +1,7 @@
 import math
+import random
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -118,6 +120,38 @@ class TestGroundStateTable:
         for q in (1e154, 1e-200, 1e-300):
             low, high = q**-1 / (1.0 + q**2), q**2 / (1.0 + q**2)
             assert ground_state_table(q) == (low, high, low, high)
+
+
+def _two_closed_forms(q):
+    """ground_state_table as it was: E1 = E3 and E2 = E4 written out."""
+    def in_range(formula):
+        try:
+            value = formula()
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise DomainError(f"ground_state_table({q!r}) leaves the double-precision range")
+        return value
+    low = in_range(lambda: q**-1 / (1.0 + q**2))
+    high = in_range(lambda: q**2 / (1.0 + q**2))
+    return (low, high, low, high)
+
+
+class TestGroundStateFromTheExponentTable:
+    def test_equals_the_two_closed_forms_bit_for_bit(self):
+        rng = random.Random(3)
+        qs = [1e154, 1.3407807929942596e154, 1.4e154, 1e-155, 1e-200, 1e-300, 1e-308, 5e-324,
+              1e200, 1.0, 0.5, 2.0, sys.float_info.max]
+        qs += [10 ** rng.uniform(-323, 308) for _ in range(3000)]
+        qs += [rng.uniform(0.5, 2.0) for _ in range(500)]
+        for q in qs:
+            try:
+                expected = tuple(map(float.hex, _two_closed_forms(q)))
+            except DomainError as exc:
+                with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+                    ground_state_table(q)
+            else:
+                assert tuple(map(float.hex, ground_state_table(q))) == expected, q
 
 
 class TestDegeneracyEquation:

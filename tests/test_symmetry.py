@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import random
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from defosc import (
     symmetrized_routes,
 )
 from defosc import symmetry
+from defosc.dsf import _check_tol
 
 from conftest import ONE_PARAM, TWO_PARAM
 
@@ -317,3 +319,179 @@ class TestFindMetric:
         rep = dataclasses.replace(rep, x_sub=severed)
         with pytest.raises(DegenerateOperatorError):
             find_metric(rep, "X")
+
+
+def _pairwise_find_metric(rep, target="X", tol=1e-10):
+    """find_metric as it was: both entrywise ratios per link, their gap tracked, three tests."""
+    _check_tol(tol)
+    rep.params.require_real_positive("find_metric")
+    sub_band, sup_band = symmetry._target_bands(rep, target)
+    eta = np.empty(rep.dim)
+    eta[0] = level = 1.0
+    worst_gap, worst_idx = 0.0, 0
+    for n, (sub, sup) in enumerate(zip(sub_band.tolist(), sup_band.tolist())):
+        if sub == 0 or sup == 0:
+            raise DegenerateOperatorError(
+                f"{target} has a vanishing off-diagonal entry at level {n}"
+            )
+        if sup.conjugate() == sub:  # entry pair already Hermitian: ratio exactly 1
+            eta[n + 1] = level
+            continue
+        r_up = sup.conjugate() / sub
+        r_down = sup / sub.conjugate()
+        gap = abs(r_up - r_down)
+        if gap > worst_gap:
+            worst_gap, worst_idx = gap, n
+        if gap > tol * max(1.0, abs(r_up)):
+            raise NoMetricError("entrywise metric conditions are inconsistent", worst_idx)
+        if abs(r_up.imag) > tol * max(1.0, abs(r_up)) or r_up.real <= 0:
+            raise NoMetricError(f"metric ratio at level {n} is not positive: {r_up!r}", n)
+        level *= r_up.real
+        if not 0.0 < level < float("inf"):
+            raise NoMetricError("metric entries left the double-precision range", n + 1)
+        eta[n + 1] = level
+
+    links = rep.trusted - 1
+    sub, sup = sub_band[:links], sup_band[:links]
+    lower, upper = eta[:links], eta[1:links + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = np.maximum(np.abs((upper * sub) / lower - sup.conj()),
+                         np.abs((lower * sup) / upper - sub.conj()))
+    residual = float(gap.max())
+    if not residual <= tol:
+        raise NoMetricError("assembled metric fails the similarity relation", int(gap.argmax()))
+    return symmetry.MetricDiagonal(eta=eta, residual=residual)
+
+
+def _metric_outcome(fn, rep, target, tol):
+    """("returns", eta bytes, residual hex) or ("raises", type, message, index)."""
+    try:
+        metric = fn(rep, target, tol)
+    except (DomainError, NoMetricError, DegenerateOperatorError) as exc:
+        return "raises", type(exc), str(exc), getattr(exc, "index", None)
+    return "returns", metric.eta.tobytes(), float.hex(metric.residual)
+
+
+def _expected_metric_outcome(rep, target, tol):
+    """The pairwise outcome, except that its "inconsistent" and "not positive" refusals
+    become the one ratio refusal, named at the level where the pairwise loop refused: the
+    first link that fails one of its tests (its "inconsistent" index was the level of the
+    largest gap so far, which can be an earlier link)."""
+    outcome = _metric_outcome(_pairwise_find_metric, rep, target, tol)
+    if outcome[0] == "returns" or not (outcome[2].startswith("entrywise")
+                                       or " is not positive: " in outcome[2]):
+        return outcome
+    sub_band, sup_band = symmetry._target_bands(rep, target)
+    for n, (sub, sup) in enumerate(zip(sub_band.tolist(), sup_band.tolist())):
+        r = sup.conjugate() / sub
+        if sup.conjugate() != sub and (abs(r - sup / sub.conjugate()) > tol * max(1.0, abs(r))
+                                       or r.real <= 0 or abs(r.imag) > tol * max(1.0, abs(r))):
+            message = f"metric ratio at level {n} is not real and positive: {r!r}"
+            return "raises", NoMetricError, f"{message} (worst index {n})", n
+    raise AssertionError("the pairwise loop refused a ratio that no level has")
+
+
+NAMES = ("x_sub", "x_sup", "p_sub", "p_sup")
+NON_FINITE = [(math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan), (1.0, math.nan),
+              (math.inf, 0.0), (0.0, -math.inf), (math.inf, math.inf), (-math.inf, 1.0)]
+
+
+def _random_entry(rng, kind):
+    size, sign = rng.uniform(0.1, 2.0), rng.choice((-1, 1))
+    return {"complex": complex(rng.gauss(0, 1), rng.gauss(0, 1)),
+            "real": complex(size, 0.0),
+            "imaginary": complex(0.0, sign * size),
+            "negative": complex(sign * size, 0.0)}[kind]
+
+
+def _hand_built(rep, rng, kind):
+    """rep with X's and P's off-diagonals replaced: random entries of one kind, or the
+    rep's own real positive ratios with one link made non-finite or given an imaginary
+    part near the tolerance, on either side of it."""
+    if kind in ("complex", "real", "imaginary", "negative"):
+        return dataclasses.replace(rep, **{name: np.array(
+            [_random_entry(rng, kind) for _ in range(rep.dim - 1)]) for name in NAMES})
+    bands = {name: getattr(rep, name).copy() for name in NAMES}
+    level = rng.randrange(rep.dim - 1)
+    for name in rng.sample(NAMES, rng.randint(1, 2)):
+        if kind == "noisy":
+            bands[name][level] += complex(0.0, rng.choice((-1, 1)) * 10.0 ** rng.uniform(-12, -8))
+        else:
+            bands[name][level] = complex(*rng.choice(NON_FINITE))
+    return dataclasses.replace(rep, **bands)
+
+
+class TestPairwiseReference:
+    """find_metric's one ratio per link against the pairwise loop it replaced: equal eta and
+    residual bits and equal refusals, except that the "inconsistent" and "not positive"
+    refusals are now the one "not real and positive" refusal at the level that failed."""
+
+    @pytest.mark.parametrize("family", ONE_PARAM + TWO_PARAM)
+    @pytest.mark.parametrize("q", (1e-200, 0.5, 0.9, 1.0, 1.1, 2.0, 1e200))
+    @pytest.mark.parametrize("dim", (3, 4, 30, 300))
+    def test_built_reps(self, family, q, dim):
+        params = DeformationParams(q=q, p=1.1) if family in TWO_PARAM else DeformationParams(q=q)
+        try:
+            rep = build_rep(family, params, dim)
+        except DomainError:
+            return
+        for target in ("X", "P"):
+            for tol in (1e-10, 1e-300):
+                assert _metric_outcome(find_metric, rep, target, tol) == _expected_metric_outcome(
+                    rep, target, tol)
+
+    @pytest.mark.parametrize("kind", ("complex", "real", "imaginary", "negative", "non-finite",
+                                      "noisy"))
+    def test_hand_built_reps(self, kind):
+        rng = random.Random(kind)
+        for dim in (3, 4, 30):
+            rep = build_rep("B", 1.1, dim)
+            for _ in range(40):
+                built = _hand_built(rep, rng, kind)
+                for target in ("X", "P"):
+                    for tol in (1e-10, 1e-6):
+                        assert _metric_outcome(find_metric, built, target, tol) == \
+                            _expected_metric_outcome(built, target, tol)
+
+
+class TestOneRatioPerLink:
+    """Refusals that the built reps never reach."""
+
+    @staticmethod
+    def _with_link(level, sub, sup):
+        rep = build_rep("A", 1.1, 8)
+        x_sub, x_sup = rep.x_sub.copy(), rep.x_sup.copy()
+        x_sub[level], x_sup[level] = sub, sup
+        return dataclasses.replace(rep, x_sub=x_sub, x_sup=x_sup)
+
+    def test_a_non_real_ratio_is_refused_at_its_level(self):
+        rep = self._with_link(3, 1.0 + 0.0j, 1.0 + 1e-3j)  # r = conj(sup)/sub = 1 - 1e-3 i
+        with pytest.raises(NoMetricError) as err:
+            find_metric(rep, "X")
+        assert str(err.value) == ("metric ratio at level 3 is not real and positive: "
+                                  "(1-0.001j) (worst index 3)")
+        assert err.value.index == 3
+
+    def test_a_non_positive_ratio_is_refused_at_its_level(self):
+        rep = self._with_link(5, 2.0 + 0.0j, -1.0 + 0.0j)  # r = -1/2
+        with pytest.raises(NoMetricError) as err:
+            find_metric(rep, "X")
+        assert str(err.value) == ("metric ratio at level 5 is not real and positive: "
+                                  "(-0.5+0j) (worst index 5)")
+        assert err.value.index == 5
+
+    def test_the_gap_is_twice_the_imaginary_part(self):
+        # 2 |Im r| = 1.6e-10 > tol = 1e-10 >= |Im r|: the pairwise gap refused this too
+        rep = self._with_link(2, 1.0 + 0.0j, complex(1.0, -8e-11))
+        with pytest.raises(NoMetricError, match=r"^metric ratio at level 2 is not real") as err:
+            find_metric(rep, "X")
+        assert err.value.index == 2
+        rep = self._with_link(2, 1.0 + 0.0j, complex(1.0, -4e-11))
+        assert find_metric(rep, "X", 1e-6).residual <= 1e-6
+
+    def test_the_similarity_relation_refuses_at_a_tiny_tol(self):
+        rep = build_rep("A", 1.1, 30)
+        with pytest.raises(NoMetricError, match=r"^assembled metric fails the similarity "
+                                                r"relation") as err:
+            find_metric(rep, "X", 1e-300)
+        assert 0 <= err.value.index < rep.trusted - 1
