@@ -328,7 +328,7 @@ def bracket_sym(x: int, q: float | complex) -> float | complex:
     _check_level(x)
     _require_nonzero(q, "q", "bracket_sym")
     if q == 1 or q == -1:
-        return x * q ** (x - 1)
+        return x * q ** ((x - 1) % 2)  # by parity: a float or complex power of x - 1 loses it
     s = float(q) if isinstance(q, Real) else q  # as in bracket_q
     return _in_range("bracket_sym", (x, q), lambda: (s**x - s ** (-x)) / (s - 1.0 / s))
 

@@ -109,11 +109,17 @@ def _operator(c: float, x: float, s: int, a: int, cd: float, b: int) -> Callable
     Where the lead power x**(s n + a) is not a normal double but y = x**(2n + b) >= 1
     dominates the bracket, y is folded into it, 1 + cd y = y (cd + 1/y), so a
     value in range does not underflow on the way (B and Bt at a base above 1).
+    The same fold serves where y alone overflows (C and D at a base above 1), if cd is
+    a normal double: then cd + 1/y stays accurate though 1/y is subnormal.
     """
     def operator(n: int) -> float:
         lead = x ** (s * n + a)
         if lead >= _MIN_NORMAL or (x < 1.0) == (2 * n + b > 0):  # the latter: y <= 1
-            return 0.5 * c * lead * (1.0 + cd * x ** (2 * n + b))
+            try:
+                return 0.5 * c * lead * (1.0 + cd * x ** (2 * n + b))
+            except OverflowError:  # y overflows, lead did not: the value may be in range
+                if not abs(cd) >= _MIN_NORMAL:
+                    raise
         return 0.5 * c * x ** ((s + 2) * n + a + b) * (cd + x ** -(2 * n + b))
     return operator
 

@@ -4,11 +4,20 @@ Storage: a+ and a- are single off-diagonals, and X and P are tridiagonal
 with a zero diagonal, so a :class:`FockRep` keeps O(D) level vectors: the
 ladder amplitudes sqrt(phi(1..D-1)) and the sub- and super-diagonals of X
 and P.  The dense D x D matrices are read-only properties built on request
-in O(D^2); no library code reads them.  The closed-form phi(0..D) comes
-from dsf's one validated table, the one the CLI's dsf tables print.  When
-build_rep evaluates it itself, the rep keeps that table and verify_ladder
-reuses it; a rep built with a ``phi=`` override, built by hand or copied
-with ``dataclasses.replace`` has none, and verify_ladder recomputes it.
+in O(D^2); no library code reads them.
+
+Tables: every family is a power law in one base x, so build_rep forms the
+closed-form phi(0..D) and f, g, h, k, and verify_gh_relation forms G and H,
+from one vector of x**m per call, with numpy's real arithmetic in the scalar
+functions' operation order, so the values are theirs bit for bit.  Where a
+lead power is not a normal double or a value is not finite, that level comes
+from the scalar function itself (dsf._phi_at, the coefficients and gh_pair
+closures), which also names the first level that leaves the double range.
+An int base, c0 or d0 that is not a float, a ``phi=`` override (phi only)
+and a ``gh`` pair keep the per-level tables.  When build_rep evaluates phi
+itself, the rep keeps it and verify_ladder reuses it; a rep built with a
+``phi=`` override, built by hand or copied with ``dataclasses.replace`` has
+none, and verify_ladder recomputes it with dsf's one validated table.
 build_rep reads each coefficient only at the levels the bands use: f and h
 at 0..D-2, g and k at 1..D-1.
 
@@ -36,16 +45,18 @@ for q = 0.9, where an unscaled residual could never beat phi * eps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .dsf import (
-    DeformationParams, FamilyId, _as_params, _check_level, _check_tol, _levels, _phi_table, _show,
+    _EXPONENTS, _MIN_NORMAL, DeformationParams, FamilyId, _as_params, _check_family_params,
+    _check_level, _check_tol, _levels, _phi_at, _phi_table, _show,
 )
 from .errors import DomainError
-from .families import GHPair, coefficients, gh_pair
+from .families import _SQRT2, GHPair, coefficients, gh_pair
 
 __all__ = ["HBAR", "MAX_DIM", "FockRep", "ResidualReport", "build_rep",
            "verify_heisenberg", "verify_gh_relation", "verify_ladder"]
@@ -144,8 +155,9 @@ def build_rep(
         Optional structure-function override (used e.g. to inject a
         perturbation); defaults to the family's closed form.
 
-    Raises DomainError naming the level where phi is negative, or where phi
-    or a coefficient f, g, h, k leaves the double-precision range.
+    phi(0..D) and f, g, h, k come from one power vector (see the module
+    docstring).  Raises DomainError naming the level where phi is negative, or
+    where phi or a coefficient f, g, h, k leaves the double-precision range.
     """
     family = FamilyId.parse(family)
     params = _as_params(params)
@@ -153,21 +165,44 @@ def build_rep(
     if not 3 <= dim <= MAX_DIM:
         raise DomainError(f"dim must be in [3, {MAX_DIM}], got {_show(dim)}")
     if phi is None:
-        phi_vals = np.array(_phi_table(family, params, dim + 1))
+        _check_family_params(family, params, "phi_closed", printed=True)
     else:
         phi_vals = np.array(_levels(phi, "phi", range(dim + 1)), dtype=float)
-    negative = np.flatnonzero(phi_vals < 0)
-    if negative.size:
-        n = int(negative[0])
-        raise DomainError(f"phi({n}) = {float(phi_vals[n])!r} < 0: ladder amplitudes undefined")
-    roots = np.sqrt(phi_vals[1:dim])  # sqrt(phi(1)) .. sqrt(phi(D-1))
-
+        negative = np.flatnonzero(phi_vals < 0)
+        if negative.size:
+            n = int(negative[0])
+            raise DomainError(f"phi({n}) = {float(phi_vals[n])!r} < 0: ladder amplitudes undefined")
     cs = coefficients(family, params)
     # X = f(N) a- + g(N) a+ and P = i (k(N) a+ - h(N) a-), row by row: the
     # super-diagonals read f and h at 0..D-2, the sub-diagonals g and k at 1..D-1
-    lower, upper = range(dim - 1), range(1, dim)
-    f, g, h, k = [np.array(_levels(fn, name, levels)) for fn, name, levels in (
-        (cs.f, "f", lower), (cs.g, "g", upper), (cs.h, "h", lower), (cs.k, "k", upper))]
+    lower, upper, table = range(dim - 1), range(1, dim), range(1, dim + 1)
+    laws = ((cs.f, "f", lower, 1.0), (cs.g, "g", upper, family.c0),
+            (cs.h, "h", lower, family.d0), (cs.k, "k", upper, 1.0))
+    x, letter, p = _vector_base(family, params), family.tag.letter, params.p or 1.0
+    if x is None:
+        if phi is None:
+            phi_vals = np.array(_phi_table(family, params, dim + 1))
+        f, g, h, k = [np.array(_levels(fn, name, levels)) for fn, name, levels, _ in laws]
+    else:
+        ef, ek = _EXPONENTS[letter]
+        # f, g, h, k as families._power_law forms them, then, without an override, phi's
+        # x**(2n-2), x**(2n), x**n, x**(1-n) and x**(a n + b), n >= 1, as dsf._phi_power_base does
+        progressions = [(ef, 0, lower), (ek + 1, 0, upper), (ef + 1, 0, lower), (ek, 0, upper)]
+        if phi is None:
+            progressions += [(2, -2, table), (2, 0, table), (1, 0, table), (-1, 1, table),
+                             (1 - ef - ek, ef - 1, table)]
+        powers = _power_slices(x, progressions)
+        with np.errstate(all="ignore"):  # an overflowed power is inf: its level falls back
+            if phi is None:  # phi(0) = 0; _phi_power_base rescales a value below the normal range
+                d1, d2, xn, x1n, lead = powers[4:]
+                value = (2.0 * lead * ((1.0 - xn) / (1.0 - x)) * (1.0 + x1n)
+                         / ((1.0 + d1) * (1.0 + d2)) / float(p))
+                phi_vals = np.concatenate(([0.0], _settled(value, np.minimum(lead, value),
+                                                           lambda n: _phi_at(letter, x, n, p),
+                                                           "phi", table)))
+            f, g, h, k = [_settled(c * w / _SQRT2, w, fn, name, levels)
+                          for w, (fn, name, levels, c) in zip(powers, laws)]
+    roots = np.sqrt(phi_vals[1:dim])  # sqrt(phi(1)) .. sqrt(phi(D-1))
     rep = FockRep(family=family, params=params, dim=dim, ladder=roots,
                   x_sub=(g * roots).astype(complex),
                   x_sup=(f * roots).astype(complex),
@@ -176,6 +211,40 @@ def build_rep(
     if phi is None:
         object.__setattr__(rep, "_phi", phi_vals)  # frozen dataclass
     return rep
+
+
+def _vector_base(family: FamilyId, params: DeformationParams) -> float | None:
+    """The base x of the family's power laws if x, c0 and d0 are floats, else None."""
+    x = params.power_base
+    return x if type(x) is float and type(family.c0) is float and type(family.d0) is float else None
+
+
+def _power_slices(x: float, progressions: list[tuple[int, int, range]]) -> list[np.ndarray]:
+    """x**(e n + d) over each (e, d, levels): strided views of one vector of Python's x**m
+    (np.power's bits differ), m in steps of the gcd of the progressions' strides and offsets."""
+    ends = [e * n + d for e, d, levels in progressions for n in (levels[0], levels[-1])]
+    lo = min(ends)
+    step = math.gcd(*(v for e, d, levels in progressions for v in (e, e * levels[0] + d - lo)))
+    exponents = range(lo, max(ends) + 1, step)
+    try:
+        powers = np.fromiter((x ** m for m in exponents), float, len(exponents))
+    except OverflowError:  # inf from 2**1023 on, so x**m never overflows: those levels fall back
+        log2_x = math.log2(x)
+        powers = np.fromiter((x ** m if m * log2_x < 1023 else np.inf for m in exponents),
+                             float, len(exponents))
+    return [powers[(e * levels[0] + d - lo) // step::e // step][:len(levels)]
+            for e, d, levels in progressions]
+
+
+def _settled(values: np.ndarray, lead: np.ndarray, fn: Callable[[int], float], stage: str,
+             levels: range) -> np.ndarray:
+    """values, but fn's where the lead power is not normal or the value not finite: elsewhere
+    the two agree bit for bit, so _levels refuses the first bad level as in a scalar table."""
+    if np.minimum.reduce(lead) >= _MIN_NORMAL and math.isfinite(np.add.reduce(values)):
+        return values  # else walk the levels: the sum of finite values may overflow
+    bad = np.flatnonzero(~((lead >= _MIN_NORMAL) & np.isfinite(values))).tolist()
+    values[bad] = _levels(fn, stage, [levels[i] for i in bad])
+    return values
 
 
 def _split_residual(pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[float, float]:
@@ -234,15 +303,27 @@ def verify_heisenberg(rep: FockRep, tol: float = 1e-10) -> ResidualReport:
 def verify_gh_relation(rep: FockRep, gh: GHPair | None = None, tol: float = 1e-10) -> ResidualReport:
     """Scaled residual of H(N) a- a+ - G(N) a+ a- - 1 on the trusted block.
 
-    Raises DomainError naming the level where G or H leaves the
-    double-precision range.
+    Without `gh`, G and H are the family's, formed from one power vector (see
+    the module docstring); a `gh` pair is read level by level.  Raises
+    DomainError naming the level where G or H leaves the double-precision range.
     """
     _check_tol(tol)
+    levels, x = range(rep.dim), None
     if gh is None:
-        gh = gh_pair(rep.family, rep.params)
-    levels = range(rep.dim)
-    H = np.array(_levels(gh.H, "H", levels), dtype=float)
-    G = np.array(_levels(gh.G, "G", levels), dtype=float)
+        gh, x = gh_pair(rep.family, rep.params), _vector_base(rep.family, rep.params)
+    if x is None:
+        H = np.array(_levels(gh.H, "H", levels), dtype=float)
+        G = np.array(_levels(gh.G, "G", levels), dtype=float)
+    else:
+        family, params = rep.family, rep.params
+        ef, ek = _EXPONENTS[family.tag.letter]
+        cd, pref = family.c0 * family.d0, params.p if family.two_parameter else 1.0
+        h_lead, h_y, g_lead, g_y = _power_slices(x, [
+            (ef + ek, ek, levels), (2, 2, levels), (ef + ek, -ef, levels), (2, -2, levels)])
+        with np.errstate(all="ignore"):  # families._operator's unfolded form; its fold falls back
+            H, G = [_settled(0.5 * c * lead * (1.0 + cd * y), lead, fn, name, levels)
+                    for c, lead, y, fn, name in ((pref, h_lead, h_y, gh.H, "H"),
+                                                 (params.q, g_lead, g_y, gh.G, "G"))]
     raise_then_lower, lower_then_raise = _number_products(rep.ladder)
     R = H * raise_then_lower - G * lower_then_raise - 1.0
     scale = np.abs(H) * np.abs(raise_then_lower) + np.abs(G) * np.abs(lower_then_raise) + 1.0

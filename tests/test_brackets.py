@@ -113,6 +113,16 @@ class TestBracketSym:
         assert bracket_sym(4, -1.0) == -4.0  # x * q**(x-1) at q = -1
         assert bracket_sym(3, -1.0) == 3.0
 
+    @pytest.mark.parametrize("q", [1, 1.0, 1 + 0j, -1, -1.0, -1 + 0j])
+    @pytest.mark.parametrize("x", [0, 1, 2, 3, 100, 101, 2**53, 2**53 + 1, 2**53 + 2, 10**20 + 1])
+    def test_limits_keep_the_exact_parity(self, x, q):
+        # x (+-1)**(x - 1), with no imaginary part at a complex q: a float or complex
+        # power of x - 1 lost the sign past 2**53, and (-1+0j)**101 carried 8.8e-15j
+        exact = x if q == 1 or x % 2 else -x
+        value = bracket_sym(x, q)
+        assert type(value) is type(q)
+        assert value == type(q)(exact)
+
     def test_inversion_symmetry(self):
         for q in (0.7, 1.6, cmath.exp(0.4j)):
             assert bracket_sym(5, q) == pytest.approx(bracket_sym(5, 1 / q), rel=1e-12)

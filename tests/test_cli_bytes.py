@@ -61,6 +61,10 @@ def _argvs() -> list[list[str]]:
         ["verify", "--family", "C", "--q", "0.5", "--dim", "530"],
         ["verify", "--family", "A", "--q", "1.5", "--dim", "1000"],
         ["verify", "--family", "A", "--q", "1.1", "--dim", "6", "--format", "csv"],
+        # G and H levels whose lead power is not a normal double (the folded form)
+        ["verify", "--family", "B", "--q", "2", "--dim", "300"],
+        ["verify", "--family", "B", "--q", "1.5", "--dim", "500"],
+        ["verify", "--family", "Bt", "--q", "1.1", "--p", "0.9", "--dim", "1000"],
         ["degeneracy", "--family", "A", "--n", "10", "--m", "0", "--q-range", "1.001:1.5",
          "--tol", "1e-6"],
         ["degeneracy", "--family", "A", "--n", "90", "--m", "0", "--q-range", "1.001:1.1",

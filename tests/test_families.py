@@ -153,10 +153,12 @@ class TestClosuresFromTheMakers:
                 params = DeformationParams(q=q, p=p)
                 cs, pair = coefficients(family, params), gh_pair(family, params)
                 made = {"f": cs.f, "g": cs.g, "h": cs.h, "k": cs.k, "G": pair.G, "H": pair.H}
-                leads = _leads(family, params)
+                leads, brackets = _leads(family, params), _brackets(params)
                 for name, reference in _hand_written(family, params).items():
-                    # G and H fold their bracket into a lead power that is not a normal double
-                    levels = [n for n in LEVELS if name not in leads or _normal(leads[name], n)]
+                    # G and H fold their bracket into a lead power that is not a normal
+                    # double, and where only the bracket power overflows (TestBracketOverflow)
+                    levels = [n for n in LEVELS if name not in leads or _normal(leads[name], n)
+                              and not _folds_an_overflow(leads[name], brackets[name], family, n)]
                     assert _outcomes(made[name], levels) == _outcomes(reference, levels), (
                         name, q, p)
 
@@ -184,6 +186,25 @@ def _leads(family, params):
     x = params.power_base
     ef, _, _, ek = PRINTED_EXPONENTS[family.tag.letter]
     return {"G": lambda n: x ** ((ef + ek) * n - ef), "H": lambda n: x ** ((ef + ek) * n + ek)}
+
+
+def _brackets(params):
+    """The bracket powers x**(2n + b) of the hand-written G and H."""
+    x = params.power_base
+    return {"G": lambda n: x ** (2 * n - 2), "H": lambda n: x ** (2 * n + 2)}
+
+
+def _folds_an_overflow(lead, bracket, family, n):
+    """Only the bracket power overflows at level n, and c0 d0 is a normal double: the fold."""
+    try:
+        lead(n)
+    except OverflowError:
+        return False
+    try:
+        bracket(n)
+    except OverflowError:
+        return abs(family.c0 * family.d0) >= MIN_NORMAL
+    return False
 
 
 def _normal(lead, n):
@@ -241,6 +262,46 @@ class TestOperatorFold:
         params = DeformationParams(q=1.1, p=0.9)
         pair = gh_pair("Bt", params)
         assert rel_err(phi_from_gh(pair.G, pair.H, 930), phi_closed("Bt", params, 930)) <= 1e-14
+
+
+class TestBracketOverflow:
+    """G and H where the lead power is a normal double but x**(2n + b) overflows."""
+
+    @pytest.mark.parametrize("tag,c0,d0", CONSTANTS)
+    def test_matches_the_exact_product(self, tag, c0, d0):
+        family = FamilyId(FamilyTag.parse(tag), c0, d0)
+        checked = 0
+        for q in GRID_Q + (1.1,):
+            for p in (GRID_P + (0.9,) if family.two_parameter else (None,)):
+                params = DeformationParams(q=q, p=p)
+                pair, exact = gh_pair(family, params), _exact_operators(family, params)
+                leads, brackets = _leads(family, params), _brackets(params)
+                for name in ("G", "H"):
+                    for n in LEVELS:
+                        if not _folds_an_overflow(leads[name], brackets[name], family, n):
+                            continue
+                        true, power = exact[name](n)
+                        if MIN_NORMAL <= abs(true) <= MAX and power <= MAX:
+                            assert rel_err(getattr(pair, name)(n), float(true)) <= 1e-14, (
+                                name, q, p, n)
+                            checked += 1
+        if family.tag.letter in "CD" and c0 * d0:  # the window C and D have at a base above 1
+            assert checked
+
+    @pytest.mark.parametrize("tag,n,value", [("D", 600, 2.0**597), ("C", 513, 2.0**513)])
+    def test_an_in_range_value_is_returned(self, tag, n, value):
+        # both raised OverflowError from x**(2n - 2), at a lead power 2**-601 and 2**-511
+        family = FamilyId.parse(tag)
+        G = gh_pair(family, 2.0).G
+        assert G(n) == value
+        exact = float(_exact_operators(family, DeformationParams(q=2.0))["G"](n)[0])
+        assert rel_err(G(n), exact) <= 1e-15
+
+    @pytest.mark.parametrize("c0", [0.0, 1e-310])
+    def test_a_cd_below_the_normal_range_keeps_raising(self, c0):
+        # cd + 1/y would carry the error of a subnormal 1/y, or all of it at cd = 0
+        with pytest.raises(OverflowError):
+            gh_pair(FamilyId(FamilyTag.D, c0, 1.0), 2.0).G(600)
 
 
 def _exact_operators(family, params):

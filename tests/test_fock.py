@@ -278,22 +278,16 @@ class TestBandStorage:
         for report in (verify_heisenberg(rep), verify_gh_relation(rep), verify_ladder(rep)):
             assert report.residual <= 1e-15, report
 
-    def test_each_coefficient_is_evaluated_at_the_levels_it_reads(self, monkeypatch):
-        calls = {name: [] for name in "fghk"}
-
-        def counting(family, params):
-            cs = coefficients(family, params)
-            return type(cs)(**{name: (lambda n, name=name: calls[name].append(n)
-                                      or getattr(cs, name)(n)) for name in "fghk"})
-
-        monkeypatch.setattr(fock, "coefficients", counting)
-        plain = build_rep("Bt", DeformationParams(q=1.1, p=0.9), 7)
-        monkeypatch.undo()
-        assert calls["f"] == calls["h"] == list(range(0, 6))
-        assert calls["g"] == calls["k"] == list(range(1, 7))
-        rep = build_rep("Bt", DeformationParams(q=1.1, p=0.9), 7)
-        for name in ("ladder", "x_sub", "x_sup", "p_sub", "p_sup"):
-            assert np.array_equal(getattr(plain, name), getattr(rep, name))
+    def test_each_coefficient_is_evaluated_at_the_levels_it_reads(self):
+        # the bands are the closures at exactly f, h at 0..D-2 and g, k at 1..D-1
+        params = DeformationParams(q=1.1, p=0.9)
+        rep, cs = build_rep("Bt", params, 7), coefficients("Bt", params)
+        f, h = (np.array([fn(n) for n in range(0, 6)]) for fn in (cs.f, cs.h))
+        g, k = (np.array([fn(n) for n in range(1, 7)]) for fn in (cs.g, cs.k))
+        assert np.array_equal(rep.x_sup, (f * rep.ladder).astype(complex))
+        assert np.array_equal(rep.x_sub, (g * rep.ladder).astype(complex))
+        assert np.array_equal(rep.p_sup, -1j * (h * rep.ladder))
+        assert np.array_equal(rep.p_sub, 1j * (k * rep.ladder))
 
     @pytest.mark.parametrize("phi,level", [
         (lambda n: n / (5 - n), 5),  # ZeroDivisionError
@@ -723,3 +717,183 @@ class TestDenseEquivalence:
             assert report.residual > 1e-3
             assert report.residual == pytest.approx(residual, rel=1e-14, abs=1e-15)
             assert report.boundary == pytest.approx(boundary, rel=1e-14, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# per-level reference: build_rep and verify_gh_relation's G and H as they were
+# before the power vector, every level from its scalar function, kept as the
+# gate that the vector tables are bit-identical and refuse alike
+# ---------------------------------------------------------------------------
+
+def _per_level_build_rep(family, params, dim, *, phi=None):
+    """build_rep with phi(0..D) from dsf._phi_table and f, g, h, k from their closures."""
+    family = FamilyId.parse(family)
+    params = dsf._as_params(params)
+    dim = dsf._check_level(dim, "dim")
+    if not 3 <= dim <= MAX_DIM:
+        raise DomainError(f"dim must be in [3, {MAX_DIM}], got {dsf._show(dim)}")
+    if phi is None:
+        phi_vals = np.array(_phi_table(family, params, dim + 1))
+    else:
+        phi_vals = np.array(_levels(phi, "phi", range(dim + 1)), dtype=float)
+    negative = np.flatnonzero(phi_vals < 0)
+    if negative.size:
+        n = int(negative[0])
+        raise DomainError(f"phi({n}) = {float(phi_vals[n])!r} < 0: ladder amplitudes undefined")
+    roots = np.sqrt(phi_vals[1:dim])
+    cs = coefficients(family, params)
+    lower, upper = range(dim - 1), range(1, dim)
+    f, g, h, k = [np.array(_levels(fn, name, levels)) for fn, name, levels in (
+        (cs.f, "f", lower), (cs.g, "g", upper), (cs.h, "h", lower), (cs.k, "k", upper))]
+    rep = FockRep(family, params, dim, roots, (g * roots).astype(complex),
+                  (f * roots).astype(complex), 1j * (k * roots), -1j * (h * roots))
+    if phi is None:
+        object.__setattr__(rep, "_phi", phi_vals)
+    return rep
+
+
+def _rep_outcome(build, *args, **kwargs):
+    """The rep's vectors and kept phi as (dtype, bytes), or the refusal's type and message."""
+    try:
+        rep = build(*args, **kwargs)
+    except Exception as exc:  # the refusal itself is compared
+        return type(exc), str(exc)
+    return tuple(None if v is None else (v.dtype, v.tobytes())
+                 for v in (rep.ladder, rep.x_sub, rep.x_sup, rep.p_sub, rep.p_sup, rep._phi))
+
+
+def _gh_outcome(rep, per_level=False):
+    """verify_gh_relation's residual and boundary bits, or the refusal's type and message;
+    with `per_level`, from the family's closures passed as a user pair."""
+    try:
+        gh = gh_pair(rep.family, rep.params) if per_level else None
+        report = verify_gh_relation(rep, gh)
+    except Exception as exc:  # the refusal itself is compared
+        return type(exc), str(exc)
+    return _report_bits(report)
+
+
+def _report_bits(report):
+    return report.residual.hex(), report.boundary.hex()
+
+
+def _recorded_tables(monkeypatch, call):
+    """(stage, levels, table, fallback levels) of every table fock._settled settles in call()."""
+    tables, settled = [], fock._settled
+
+    def recording(values, lead, fn, stage, levels):
+        fallback = int(np.count_nonzero(~((lead >= dsf._MIN_NORMAL) & np.isfinite(values))))
+        table = settled(values, lead, fn, stage, levels)
+        tables.append((stage, levels, table.copy(), fallback))
+        return table
+
+    monkeypatch.setattr(fock, "_settled", recording)
+    try:
+        call()
+    except DomainError:
+        pass
+    finally:
+        monkeypatch.undo()
+    return tables
+
+
+def _scalar_table(family, params, stage, levels):
+    """The table of `stage` over levels from its scalar function, the per-level way."""
+    if stage == "phi":
+        return _phi_table(FamilyId.parse(family), params, levels[-1] + 1)[levels[0]:]
+    cs, gh = coefficients(family, params), gh_pair(family, params)
+    fn = {"f": cs.f, "g": cs.g, "h": cs.h, "k": cs.k, "G": gh.G, "H": gh.H}[stage]
+    return _levels(fn, stage, levels)
+
+
+# q == p, an int q (kept per level where it is the base) and the bases 0.5 and 2.0,
+# whose phi and G, H take the rescaled and folded forms at D = 513 and 1000
+VECTOR_Q = (0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 2, 3)
+VECTOR_P = (0.5, 0.9, 1.0, 1.1, 1.5, 2.0)
+VECTOR_DIMS = (3, 4, 30, 300, 513, 1000)
+
+
+class TestVectorTables:
+    """The seven power-vector tables against the per-level tables they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_tables_match_the_scalar_functions(self, family, monkeypatch):
+        vectorised = 0
+        for q in VECTOR_Q:
+            for p in (VECTOR_P if FamilyTag.parse(family).two_parameter else (None,)):
+                params = DeformationParams(q=q, p=p)
+                for dim in VECTOR_DIMS:
+                    expected = _rep_outcome(_per_level_build_rep, family, params, dim)
+                    assert _rep_outcome(build_rep, family, params, dim) == expected, (q, p, dim)
+                    tables = _recorded_tables(
+                        monkeypatch, lambda: verify_gh_relation(build_rep(family, params, dim)))
+                    for stage, levels, table, _ in tables:
+                        scalar = np.array(_scalar_table(family, params, stage, levels))
+                        assert table.tobytes() == scalar.tobytes(), (stage, q, p, dim)
+                    if type(params.power_base) is int:  # an int q keeps the per-level tables
+                        assert not tables
+                    vectorised += bool(tables)
+                    if isinstance(expected[0], type):  # refused
+                        continue
+                    rep = build_rep(family, params, dim)
+                    assert _gh_outcome(rep) == _gh_outcome(rep, per_level=True), (q, p, dim)
+                    copy = dataclasses.replace(rep)  # recomputes phi for verify_ladder
+                    assert _report_bits(verify_ladder(copy)) == _report_bits(verify_ladder(rep))
+        assert vectorised
+
+    @pytest.mark.parametrize("family,params,dim,stages", [
+        ("B", DeformationParams(q=2.0), 300, {"phi", "G", "H"}),  # rescaled phi, folded G, H
+        ("Bt", DeformationParams(q=1.1, p=0.9), 1000, {"phi", "G", "H"}),
+        # H(511) folds an overflowing x**(2n + 2) into its normal lead power
+        ("C", DeformationParams(q=2.0), 512, {"phi", "H"}),
+        ("A", DeformationParams(q=1.0), 30, {"phi"}),  # phi = n at base 1
+    ])
+    def test_fallback_levels_come_from_the_scalar_functions(self, family, params, dim, stages,
+                                                            monkeypatch):
+        tables = _recorded_tables(
+            monkeypatch, lambda: verify_gh_relation(build_rep(family, params, dim)))
+        assert {stage for stage, *_, fallback in tables if fallback} == stages
+        for stage, levels, table, _ in tables:
+            scalar = np.array(_scalar_table(family, params, stage, levels))
+            assert table.tobytes() == scalar.tobytes(), stage
+
+    @pytest.mark.parametrize("family", [
+        FamilyId(FamilyTag.A, 2.0, 0.5), FamilyId(FamilyTag.C, -1.5, 3.0),
+        FamilyId(FamilyTag.BT, 0.0, 1.0), FamilyId(FamilyTag.D, 2, 1),  # int constants: per level
+        FamilyId(FamilyTag.CT, 1.5, 1.5)])
+    @pytest.mark.parametrize("q", (0.5, 0.9, 1.1, 2.0))
+    def test_general_constants_with_a_phi_override(self, family, q):
+        params = DeformationParams(q=q, p=1.3 if family.two_parameter else None)
+        phi = lambda n: phi_closed(family.tag.value, params, n)
+        for dim in (3, 30, 300, 600):
+            expected = _rep_outcome(_per_level_build_rep, family, params, dim, phi=phi)
+            assert _rep_outcome(build_rep, family, params, dim, phi=phi) == expected, dim
+            if not isinstance(expected[0], type):
+                rep = build_rep(family, params, dim, phi=phi)
+                assert _gh_outcome(rep) == _gh_outcome(rep, per_level=True), dim
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_refusals_match_the_per_level_build(self, family):
+        extremes = (1e-300, 1e-200, 1e-10, 0.5, 2.0, 1e10, 1e200, 1e300)
+        two = FamilyTag.parse(family).two_parameter
+        for q in extremes:
+            for p in ((1e-200, 1.0, 1e200) if two else (None,)):
+                params = DeformationParams(q=q, p=p)
+                for dim in (3, 30, 530, 1000):
+                    expected = _rep_outcome(_per_level_build_rep, family, params, dim)
+                    assert _rep_outcome(build_rep, family, params, dim) == expected, (q, p, dim)
+                    # a hand-built rep reaches G and H at parameters build_rep refuses
+                    rep = FockRep(FamilyId.parse(family), params, dim, *[np.ones(dim - 1)] * 5)
+                    assert _gh_outcome(rep) == _gh_outcome(rep, per_level=True), (q, p, dim)
+        for args in ((1.1, 2), (1.1, MAX_DIM + 1), (1.1, -1), (1.1, 3.5), (1.1, True),
+                     (DeformationParams(q=1.1, p=None if two else 0.9), 5), (-1.0, 5),
+                     (math.nan, 5), (1 + 1j, 5), (DeformationParams(q=10**400, p=3), 5)):
+            expected = _rep_outcome(_per_level_build_rep, family, *args)
+            assert isinstance(expected[0], type) and expected[0] is not TypeError, args
+            assert _rep_outcome(build_rep, family, *args) == expected, args
+
+    def test_coefficient_refusal_names_its_level(self):
+        assert _rep_outcome(build_rep, "C", 0.5, 530) == (
+            DomainError, "f(512) leaves the double-precision range")
+        assert _rep_outcome(_per_level_build_rep, "C", 0.5, 530) == _rep_outcome(
+            build_rep, "C", 0.5, 530)
