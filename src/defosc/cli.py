@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .dsf import DeformationParams, FamilyId, _check_level, _check_tol, _phi_table, phi_closed
@@ -148,15 +149,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     recursion = verify_ratio_recursions(coefficients(family, params), params, args.dim)
     residuals = {check.name: check.residual for check in checks}
     residuals["ratio_recursions"] = recursion
+    defects = {"X": hermiticity_defect(rep, "X"), "P": hermiticity_defect(rep, "P")}
+    # JSON has no NaN or Infinity: a check whose number is not finite is a domain error
+    numbers = {check.name: (check.residual, check.boundary) for check in checks}
+    numbers["hermiticity_defect"] = defects.values()
+    not_finite = [name for name, values in numbers.items() if not all(map(math.isfinite, values))]
+    if not_finite:
+        raise DomainError(f"verify reports non-finite numbers for {', '.join(not_finite)}")
     passed = all(value <= args.tol for value in residuals.values())
     report = {
         "meta": _meta(family, args, dim=args.dim, trusted=rep.trusted, tol=args.tol),
         "residuals": residuals,
         "boundary": {check.name: check.boundary for check in checks},
-        "hermiticity_defect": {
-            "X": hermiticity_defect(rep, "X"),
-            "P": hermiticity_defect(rep, "P"),
-        },
+        "hermiticity_defect": defects,
         "passed": passed,
     }
     _write(args, _json_text(report))

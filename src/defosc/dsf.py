@@ -158,14 +158,14 @@ class _Record:
 class FamilyId(_Record):
     """A coefficient family together with the ratio constants c(0), d(0).
 
-    The defaults c0 = d0 = 1 select the printed solutions; other values feed
-    the general construction in :func:`defosc.families.general_gh`.
+    The defaults c0 = d0 = 1 select the printed solutions; other finite real
+    values, stored as floats, feed :func:`defosc.families.general_gh`.
     """
 
     __slots__ = ("tag", "c0", "d0")
 
     def __init__(self, tag: FamilyTag, c0: float = 1.0, d0: float = 1.0):
-        self._init(tag, c0, d0)
+        self._init(tag, _real_constant(c0, "c0"), _real_constant(d0, "d0"))
 
     @classmethod
     def parse(cls, value: "FamilyId | FamilyTag | str") -> "FamilyId":
@@ -185,6 +185,16 @@ class FamilyId(_Record):
     @property
     def index(self) -> int:
         return self.tag.index
+
+
+def _real_constant(value: object, name: str) -> float:
+    """A finite real c0 or d0 as the float it holds, else DomainError."""
+    try:  # float() of an int or a Fraction beyond the double range raises OverflowError
+        if isinstance(value, Real) and math.isfinite(constant := float(value)):
+            return constant
+    except OverflowError:
+        pass
+    raise DomainError(f"FamilyId requires finite real {name}, got {_show(value)}")
 
 
 # tag -> its printed family (c0 = d0 = 1), built once; frozen, so safe to share
@@ -237,7 +247,7 @@ class DeformationParams(_Record):
 
 def _require_positive(value: object, name: str, context: str) -> None:
     """Refuse all but a finite real value > 0; a complex one even with a zero imaginary part."""
-    if isinstance(value, complex):
+    if not isinstance(value, Real):
         raise DomainError(f"{context} requires real {name}, got {_show(value)}")
     if not 0 < value <= _MAX_FLOAT:  # an int beyond the double range is not finite
         raise DomainError(f"{context} requires finite {name} > 0, got {_show(value)}")
@@ -288,6 +298,8 @@ def _check_level(n: int, name: str = "level") -> int:
 
 
 def _check_tol(tol: float) -> None:
+    if type(tol) is not float and not isinstance(tol, Real):  # a float skips the slower ABC check
+        raise DomainError(f"tol must be real, got {_show(tol)}")
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {_show(tol)}")
     if tol > _MAX_FLOAT:  # inf, or an int beyond the double range: accepts any residual
@@ -480,20 +492,19 @@ def phi_from_gh(G: Callable[[int], float], H: Callable[[int], float], n: int) ->
 
 
 def _levels(fn: Callable[[int], float], stage: str, levels: range) -> list[float]:
-    """fn over levels; DomainError naming the first level that raises or is not finite."""
+    """fn over levels in one walk, which stops at the first level that raises or is not
+    finite and names it in a DomainError."""
+    values = []
     try:
-        values = [fn(n) for n in levels]
-        if all(map(cmath.isfinite, values)):
-            return values
-        bad = next(n for n, value in zip(levels, values) if not cmath.isfinite(value))
-    except (OverflowError, ZeroDivisionError):
-        for bad in levels:  # the values before the raise are lost: walk to the first bad one
-            try:
-                if not cmath.isfinite(fn(bad)):
-                    break
-            except (OverflowError, ZeroDivisionError):
+        for n in levels:
+            if not cmath.isfinite(value := fn(n)):
                 break
-    raise DomainError(f"{stage}({bad}) leaves the double-precision range")
+            values.append(value)
+        else:
+            return values
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise DomainError(f"{stage}({n}) leaves the double-precision range")
 
 
 def phi_ratio_check(

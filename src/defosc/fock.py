@@ -8,18 +8,17 @@ in O(D^2); no library code reads them.
 
 Tables: every family is a power law in one base x, so build_rep forms the
 closed-form phi(0..D) and f, g, h, k, and verify_gh_relation forms G and H,
-from one vector of x**m per call, with numpy's real arithmetic in the scalar
-functions' operation order, so the values are theirs bit for bit.  Where a
-lead power is not a normal double or a value is not finite, that level comes
-from the scalar function itself (dsf._phi_at, the coefficients and gh_pair
-closures), which also names the first level that leaves the double range.
-An int base, c0 or d0 that is not a float, a ``phi=`` override (phi only)
-and a ``gh`` pair keep the per-level tables.  When build_rep evaluates phi
-itself, the rep keeps it and verify_ladder reuses it; a rep built with a
-``phi=`` override, built by hand or copied with ``dataclasses.replace`` has
-none, and verify_ladder recomputes it with dsf's one validated table.
-build_rep reads each coefficient only at the levels the bands use: f and h
-at 0..D-2, g and k at 1..D-1.
+from one vector of x**m per call, int or float x, with numpy's real arithmetic
+in the scalar functions' operation order, so the values are theirs bit for bit.
+Where a lead power is not a normal double or a value is not finite, that level
+comes from the scalar function itself (dsf._phi_at, the coefficients and
+gh_pair closures), which also names the first level that leaves the double
+range.  Only a ``phi=`` override and a ``gh`` pair are read level by level.
+When build_rep evaluates phi itself, the rep keeps it and verify_ladder reuses
+it; a rep built with a ``phi=`` override, built by hand or copied with
+``dataclasses.replace`` has none, and verify_ladder recomputes it with dsf's
+one validated table.  build_rep reads each coefficient only at the levels the
+bands use: f and h at 0..D-2, g and k at 1..D-1.
 
 Diagonal rule: each verifier forms only the diagonals its identity has,
 straight from the stored vectors at their natural length, in the order
@@ -40,7 +39,8 @@ trusted.
 Residuals are scaled per entry by the magnitude of the terms forming the
 identity (floored at 1), so an exactly realized algebra reports machine-level
 numbers regardless of how large phi(n) grows.  phi(100) already exceeds 1e9
-for q = 0.9, where an unscaled residual could never beat phi * eps.
+for q = 0.9, where an unscaled residual could never beat phi * eps.  A product
+that overflows leaves an inf or NaN residual in the report, with no numpy warning.
 """
 
 from __future__ import annotations
@@ -178,30 +178,25 @@ def build_rep(
     lower, upper, table = range(dim - 1), range(1, dim), range(1, dim + 1)
     laws = ((cs.f, "f", lower, 1.0), (cs.g, "g", upper, family.c0),
             (cs.h, "h", lower, family.d0), (cs.k, "k", upper, 1.0))
-    x, letter, p = _vector_base(family, params), family.tag.letter, params.p or 1.0
-    if x is None:
-        if phi is None:
-            phi_vals = np.array(_phi_table(family, params, dim + 1))
-        f, g, h, k = [np.array(_levels(fn, name, levels)) for fn, name, levels, _ in laws]
-    else:
-        ef, ek = _EXPONENTS[letter]
-        # f, g, h, k as families._power_law forms them, then, without an override, phi's
-        # x**(2n-2), x**(2n), x**n, x**(1-n) and x**(a n + b), n >= 1, as dsf._phi_power_base does
-        progressions = [(ef, 0, lower), (ek + 1, 0, upper), (ef + 1, 0, lower), (ek, 0, upper)]
-        if phi is None:
-            progressions += [(2, -2, table), (2, 0, table), (1, 0, table), (-1, 1, table),
-                             (1 - ef - ek, ef - 1, table)]
-        powers = _power_slices(x, progressions)
-        with np.errstate(all="ignore"):  # an overflowed power is inf: its level falls back
-            if phi is None:  # phi(0) = 0; _phi_power_base rescales a value below the normal range
-                d1, d2, xn, x1n, lead = powers[4:]
-                value = (2.0 * lead * ((1.0 - xn) / (1.0 - x)) * (1.0 + x1n)
-                         / ((1.0 + d1) * (1.0 + d2)) / float(p))
-                phi_vals = np.concatenate(([0.0], _settled(value, np.minimum(lead, value),
-                                                           lambda n: _phi_at(letter, x, n, p),
-                                                           "phi", table)))
-            f, g, h, k = [_settled(c * w / _SQRT2, w, fn, name, levels)
-                          for w, (fn, name, levels, c) in zip(powers, laws)]
+    x, letter, p = params.power_base, family.tag.letter, params.p or 1.0
+    ef, ek = _EXPONENTS[letter]
+    # f, g, h, k as families._power_law forms them, then, without an override, phi's
+    # x**(2n-2), x**(2n), x**n, x**(1-n) and x**(a n + b), n >= 1, as dsf._phi_power_base does
+    progressions = [(ef, 0, lower), (ek + 1, 0, upper), (ef + 1, 0, lower), (ek, 0, upper)]
+    if phi is None:
+        progressions += [(2, -2, table), (2, 0, table), (1, 0, table), (-1, 1, table),
+                         (1 - ef - ek, ef - 1, table)]
+    powers = _power_slices(x, progressions)
+    with np.errstate(all="ignore"):  # an overflowed power is inf: its level falls back
+        if phi is None:  # phi(0) = 0; _phi_power_base rescales a value below the normal range
+            d1, d2, xn, x1n, lead = powers[4:]
+            value = (2.0 * lead * ((1.0 - xn) / (1.0 - x)) * (1.0 + x1n)
+                     / ((1.0 + d1) * (1.0 + d2)) / float(p))
+            phi_vals = np.concatenate(([0.0], _settled(value, np.minimum(lead, value),
+                                                       lambda n: _phi_at(letter, x, n, p),
+                                                       "phi", table)))
+        f, g, h, k = [_settled(c * w / _SQRT2, w, fn, name, levels)
+                      for w, (fn, name, levels, c) in zip(powers, laws)]
     roots = np.sqrt(phi_vals[1:dim])  # sqrt(phi(1)) .. sqrt(phi(D-1))
     rep = FockRep(family=family, params=params, dim=dim, ladder=roots,
                   x_sub=(g * roots).astype(complex),
@@ -213,15 +208,10 @@ def build_rep(
     return rep
 
 
-def _vector_base(family: FamilyId, params: DeformationParams) -> float | None:
-    """The base x of the family's power laws if x, c0 and d0 are floats, else None."""
-    x = params.power_base
-    return x if type(x) is float and type(family.c0) is float and type(family.d0) is float else None
-
-
 def _power_slices(x: float, progressions: list[tuple[int, int, range]]) -> list[np.ndarray]:
     """x**(e n + d) over each (e, d, levels): strided views of one vector of Python's x**m
-    (np.power's bits differ), m in steps of the gcd of the progressions' strides and offsets."""
+    (np.power's bits differ), m in steps of the gcd of the progressions' strides and offsets.
+    An int x**m, m >= 0, is the exact int rounded once to a float, as the scalar code rounds it."""
     ends = [e * n + d for e, d, levels in progressions for n in (levels[0], levels[-1])]
     lo = min(ends)
     step = math.gcd(*(v for e, d, levels in progressions for v in (e, e * levels[0] + d - lo)))
@@ -289,14 +279,15 @@ def verify_heisenberg(rep: FockRep, tol: float = 1e-10) -> ResidualReport:
     p_eff = rep.params.p if rep.params.two_parameter else 1.0
     q = rep.params.q
     X, P = (rep.x_sub, rep.x_sup), (rep.p_sub, rep.p_sup)
-    absX, absP = tuple(map(np.abs, X)), tuple(map(np.abs, P))
-    products = zip(_tridiagonal_product(*X, *P), _tridiagonal_product(*P, *X))
-    R = [p_eff * xp - q * px for xp, px in products]
-    abs_products = zip(_tridiagonal_product(*absX, *absP), _tridiagonal_product(*absP, *absX))
-    scale = [abs(p_eff) * xp + abs(q) * px for xp, px in abs_products]
-    R[1] = R[1] - 1j * HBAR  # the identity lies on the main diagonal
-    scale[1] = scale[1] + 1.0
-    residual, boundary = _split_residual(zip(R, scale))
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN residual is reported
+        absX, absP = tuple(map(np.abs, X)), tuple(map(np.abs, P))
+        products = zip(_tridiagonal_product(*X, *P), _tridiagonal_product(*P, *X))
+        R = [p_eff * xp - q * px for xp, px in products]
+        abs_products = zip(_tridiagonal_product(*absX, *absP), _tridiagonal_product(*absP, *absX))
+        scale = [abs(p_eff) * xp + abs(q) * px for xp, px in abs_products]
+        R[1] = R[1] - 1j * HBAR  # the identity lies on the main diagonal
+        scale[1] = scale[1] + 1.0
+        residual, boundary = _split_residual(zip(R, scale))
     return ResidualReport("heisenberg", residual, boundary, tol)
 
 
@@ -308,26 +299,25 @@ def verify_gh_relation(rep: FockRep, gh: GHPair | None = None, tol: float = 1e-1
     DomainError naming the level where G or H leaves the double-precision range.
     """
     _check_tol(tol)
-    levels, x = range(rep.dim), None
+    levels = range(rep.dim)
     if gh is None:
-        gh, x = gh_pair(rep.family, rep.params), _vector_base(rep.family, rep.params)
-    if x is None:
-        H = np.array(_levels(gh.H, "H", levels), dtype=float)
-        G = np.array(_levels(gh.G, "G", levels), dtype=float)
-    else:
         family, params = rep.family, rep.params
-        ef, ek = _EXPONENTS[family.tag.letter]
+        gh, (ef, ek) = gh_pair(family, params), _EXPONENTS[family.tag.letter]
         cd, pref = family.c0 * family.d0, params.p if family.two_parameter else 1.0
-        h_lead, h_y, g_lead, g_y = _power_slices(x, [
+        h_lead, h_y, g_lead, g_y = _power_slices(params.power_base, [
             (ef + ek, ek, levels), (2, 2, levels), (ef + ek, -ef, levels), (2, -2, levels)])
         with np.errstate(all="ignore"):  # families._operator's unfolded form; its fold falls back
             H, G = [_settled(0.5 * c * lead * (1.0 + cd * y), lead, fn, name, levels)
                     for c, lead, y, fn, name in ((pref, h_lead, h_y, gh.H, "H"),
                                                  (params.q, g_lead, g_y, gh.G, "G"))]
-    raise_then_lower, lower_then_raise = _number_products(rep.ladder)
-    R = H * raise_then_lower - G * lower_then_raise - 1.0
-    scale = np.abs(H) * np.abs(raise_then_lower) + np.abs(G) * np.abs(lower_then_raise) + 1.0
-    residual, boundary = _split_residual([(R, scale)])
+    else:
+        H = np.array(_levels(gh.H, "H", levels), dtype=float)
+        G = np.array(_levels(gh.G, "G", levels), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN residual is reported
+        raise_then_lower, lower_then_raise = _number_products(rep.ladder)
+        R = H * raise_then_lower - G * lower_then_raise - 1.0
+        scale = np.abs(H) * np.abs(raise_then_lower) + np.abs(G) * np.abs(lower_then_raise) + 1.0
+        residual, boundary = _split_residual([(R, scale)])
     return ResidualReport("gh_relation", residual, boundary, tol)
 
 
@@ -346,17 +336,18 @@ def verify_ladder(rep: FockRep, tol: float = 1e-10) -> ResidualReport:
     phi_vals = rep._phi
     if phi_vals is None:
         phi_vals = np.array(_phi_table(rep.family, rep.params, rep.dim + 1))
-    raise_then_lower, lower_then_raise = _number_products(ladder)
-    abs_raise_then_lower, abs_lower_then_raise = _number_products(abs_ladder)
-    steps = phi_vals[1:] - phi_vals[:-1]
-    step_scale = np.abs(phi_vals[1:]) + np.abs(phi_vals[:-1])
-    residual, boundary = _split_residual((
-        # [N, a+] - a+ on diagonal -1, [N, a-] + a- on diagonal +1
-        (num[1:] * ladder - ladder * num[:-1] - ladder,
-         num[1:] * abs_ladder + abs_ladder * num[:-1] + abs_ladder),
-        (num[:-1] * ladder - ladder * num[1:] + ladder,
-         num[:-1] * abs_ladder + abs_ladder * num[1:] + abs_ladder),
-        (raise_then_lower - lower_then_raise - steps,
-         abs_raise_then_lower + abs_lower_then_raise + step_scale),
-    ))
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN residual is reported
+        raise_then_lower, lower_then_raise = _number_products(ladder)
+        abs_raise_then_lower, abs_lower_then_raise = _number_products(abs_ladder)
+        steps = phi_vals[1:] - phi_vals[:-1]
+        step_scale = np.abs(phi_vals[1:]) + np.abs(phi_vals[:-1])
+        residual, boundary = _split_residual((
+            # [N, a+] - a+ on diagonal -1, [N, a-] + a- on diagonal +1
+            (num[1:] * ladder - ladder * num[:-1] - ladder,
+             num[1:] * abs_ladder + abs_ladder * num[:-1] + abs_ladder),
+            (num[:-1] * ladder - ladder * num[1:] + ladder,
+             num[:-1] * abs_ladder + abs_ladder * num[1:] + abs_ladder),
+            (raise_then_lower - lower_then_raise - steps,
+             abs_raise_then_lower + abs_lower_then_raise + step_scale),
+        ))
     return ResidualReport("ladder", residual, boundary, tol)

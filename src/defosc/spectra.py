@@ -7,6 +7,8 @@ located by a sign-change scan plus bisection in q.
 
 from __future__ import annotations
 
+from numbers import Real
+
 from .dsf import (
     _EXPONENTS, DeformationParams, FamilyId, _as_params, _check_family_params, _check_level,
     _check_tol, _in_range, _INF, _MAX_FLOAT, _phi_at, _Record, _show, phi_closed,
@@ -161,6 +163,8 @@ def find_degeneracy(
     """
     family = FamilyId.parse(family)
     q_lo, q_hi = search
+    if not (isinstance(q_lo, Real) and isinstance(q_hi, Real)):
+        raise DomainError(f"search endpoints must be real, got {_show(search)}")
     if not (0 < q_lo < q_hi):
         raise DomainError(f"search interval must satisfy 0 < q_lo < q_hi, got {_show(search)}")
     if q_lo == 1.0 or q_hi == 1.0:

@@ -41,7 +41,7 @@ def _validate_sym_parameter(q) -> complex:
         if abs(abs(q) - 1.0) > _UNIT_CIRCLE_TOL:
             raise DomainError(f"complex q must lie on the unit circle, got |q| = {abs(q)!r}")
         return q
-    _require_positive(q.real, "q", "phi_symmetrized")  # a zero imaginary part counts as real
+    _require_positive(q.real if isinstance(q, complex) else q, "q", "phi_symmetrized")  # 1+0j too
     return complex(q)
 
 
@@ -122,9 +122,10 @@ def phi_symmetrized_qp(base: FamilyId | str, q, p, n: int):
         _require_nonzero(q, "q", "phi_symmetrized_qp")
         _require_nonzero(p, "p", "phi_symmetrized_qp")
     else:  # a zero imaginary part counts as real
-        _require_positive(q.real, "q", "phi_symmetrized_qp")
-        _require_positive(p.real, "p", "phi_symmetrized_qp")
-        q, p = float(q.real), float(p.real)
+        q, p = [v.real if isinstance(v, complex) else v for v in (q, p)]
+        _require_positive(q, "q", "phi_symmetrized_qp")
+        _require_positive(p, "p", "phi_symmetrized_qp")
+        q, p = float(q), float(p)
     for name, ratio in (("q/p", q / p), ("p/q", p / q)):
         _require_nonzero(ratio, name, "phi_symmetrized_qp")
     letter = base.tag.letter  # real parameters give a float: every base below is real

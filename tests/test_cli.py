@@ -343,6 +343,13 @@ class TestExitCodeContract:
         else:
             json.loads(out, parse_constant=_reject_constant)
 
+    def test_verify_refuses_residuals_that_are_not_finite(self, capsys):
+        # phi near the double range overflows the products: this wrote NaN and exited 1
+        code, out, err = run(capsys, "verify", "--family", "A", "--q", "1.5", "--dim", "30",
+                             "--perturb", "1e308")
+        assert (code, out) == (2, "")
+        assert err == "error: verify reports non-finite numbers for heisenberg, gh_relation\n"
+
     @pytest.mark.parametrize("argv", [
         ("--family", "B", "--q", "2", "--dim", "300"),
         ("--family", "B", "--q", "1.5", "--dim", "500"),

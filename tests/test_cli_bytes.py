@@ -109,6 +109,7 @@ def _argvs() -> list[list[str]]:
         ["verify", "--q", "1.1"],
         ["verify", "--family", "At", "--q", "1.1", "--dim", "5"],
         ["verify", "--family", "A", "--q", "-1", "--dim", "5"],
+        ["verify", "--family", "A", "--q", "1.5", "--dim", "30", "--perturb", "1e308"],
         ["degeneracy", "--family", "A", "--q-range", "1.001:1.5"],
         ["degeneracy", "--family", "A", "--n", "10", "--m", "0"],
         ["degeneracy", "--n", "10", "--m", "0", "--q-range", "1.001:1.5"],

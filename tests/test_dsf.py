@@ -1,8 +1,10 @@
 import cmath
 import math
+import pickle
 import random
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -124,6 +126,35 @@ class TestFamilyParsing:
     ])
     def test_a_family_id_parses_to_itself(self, custom):
         assert FamilyId.parse(custom) is custom
+
+
+class TestFamilyConstants:
+    """FamilyId stores a real c0 or d0 as the float it holds and refuses any other."""
+
+    @pytest.mark.parametrize("c0,d0", [
+        (2, 1), (Fraction(3, 2), True), (np.float32(0.1), np.int64(-3)), (np.float64(0.5), 0.0)])
+    def test_constants_are_stored_as_floats(self, c0, d0):
+        family = FamilyId(FamilyTag.D, c0, d0)
+        assert (type(family.c0), type(family.d0)) == (float, float)
+        assert (family.c0, family.d0) == (float(c0), float(d0))
+
+    def test_an_int_and_a_float_constant_make_one_family(self):
+        ints, floats = FamilyId(FamilyTag.D, 2, 1), FamilyId(FamilyTag.D, 2.0, 1.0)
+        assert ints == floats and hash(ints) == hash(floats)
+        assert repr(ints) == repr(floats) == "FamilyId(tag=<FamilyTag.D: 'D'>, c0=2.0, d0=1.0)"
+        assert pickle.loads(pickle.dumps(ints)) == floats
+
+    @pytest.mark.parametrize("name,value,shown", [
+        ("c0", 1j, "1j"), ("c0", "2", "'2'"), ("d0", math.nan, "nan"), ("d0", math.inf, "inf"),
+        ("c0", -math.inf, "-inf"), ("c0", 10**400, "an int of 401 digits"),
+        ("d0", Fraction(10**400, 3), "a Fraction near 3.3e+399"), ("c0", None, "None"),
+        ("d0", np.float32("inf"), repr(np.float32("inf"))), ("c0", 1 + 0j, "(1+0j)"),
+    ])
+    def test_a_non_real_or_non_finite_constant_is_refused(self, name, value, shown):
+        with pytest.raises(DomainError) as err:
+            FamilyId(FamilyTag.A, **{name: value})
+        assert str(err.value) == f"FamilyId requires finite real {name}, got {shown}"
+        assert len(str(err.value)) < 200
 
 
 class TestDeformationParams:
@@ -583,7 +614,7 @@ def _table_outcome(table, fn, levels):
 
 
 class TestLevelsReference:
-    """dsf._levels, which walks again only on failure, against the pair it replaced."""
+    """dsf._levels, one walk that stops at the first bad level, against the pair it replaced."""
 
     BAD = (math.inf, -math.inf, math.nan, complex(math.inf, 1), complex(1, math.nan),
            OverflowError, ZeroDivisionError)
@@ -726,6 +757,43 @@ class TestDomainContract:
     def test_parameters_are_refused_as_parameters(self, call, value):
         with pytest.raises(DomainError, match=f"^{re.escape(value)}$"):
             call()
+
+    @pytest.mark.parametrize("call,value", [
+        # these raised TypeError or AttributeError at a comparison or at .real; a Decimal
+        # in bracket_q, bracket_pq and phi_symmetrized returned a value
+        (lambda: phi_closed("A", "1.1", 3), "phi_closed requires real q, got '1.1'"),
+        (lambda: phi_closed("A", None, 3), "phi_closed requires real q, got None"),
+        (lambda: spectrum("A", Decimal("1.1"), 3), "phi_closed requires real q, got Decimal('1.1')"),
+        (lambda: build_rep("A", Decimal("1.1"), 5), "phi_closed requires real q, got Decimal('1.1')"),
+        (lambda: ground_state_table(Decimal("1.1")),
+         "ground_state_table requires real q, got Decimal('1.1')"),
+        (lambda: degeneracy_equation("A", "1.1", 3, 0), "phi_closed requires real q, got '1.1'"),
+        (lambda: phi_closed("At", DeformationParams(1.1, "0.9"), 3),
+         "phi_closed requires real p, got '0.9'"),
+        (lambda: bracket_q(3, "1.1"), "bracket_q requires real q, got '1.1'"),
+        (lambda: bracket_q(3, Decimal("1.1")), "bracket_q requires real q, got Decimal('1.1')"),
+        (lambda: bracket_pq(3, 1.1, Decimal("0.9")),
+         "bracket_pq requires real p, got Decimal('0.9')"),
+        (lambda: phi_symmetrized("A", "1.1", 3), "phi_symmetrized requires real q, got '1.1'"),
+        (lambda: phi_symmetrized("A", Decimal("1.1"), 3),
+         "phi_symmetrized requires real q, got Decimal('1.1')"),
+        (lambda: phi_symmetrized_qp("At", 1.1, "0.9", 3),
+         "phi_symmetrized_qp requires real p, got '0.9'"),
+        (lambda: verify_heisenberg(build_rep("A", 1.1, 5), "1e-10"), "tol must be real, got '1e-10'"),
+        (lambda: find_degeneracy("A", 3, 0, ("0.5", "2"), 1e-7),
+         "search endpoints must be real, got ('0.5', '2')"),
+        (lambda: find_degeneracy("A", 3, 0, (0.5, 2.0), None), "tol must be real, got None"),
+    ])
+    def test_a_non_real_value_is_refused_as_not_real(self, call, value):
+        with pytest.raises(DomainError, match=f"^{re.escape(value)}$"):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: phi_symmetrized("A", 1.1 + 0j, 3),
+        lambda: phi_symmetrized_qp("At", 1.1 + 0j, 0.9, 3),
+    ])
+    def test_a_complex_value_with_a_zero_imaginary_part_counts_as_real(self, call):
+        assert math.isfinite(call())
 
     @pytest.mark.parametrize("call", [
         lambda n: phi_closed("B", 1.0, n),

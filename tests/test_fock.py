@@ -2,6 +2,8 @@ import dataclasses
 import math
 import re
 import time
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -212,6 +214,23 @@ class TestVerifiers:
         rep = dataclasses.replace(rep, ladder=ladder)
         for report in (verify_gh_relation(rep), verify_ladder(rep)):
             assert math.isnan(report.residual) and not report.passed
+
+    def test_overflowing_products_report_nan_without_a_warning(self):
+        # phi near the double range: the products overflow, and the residual says so
+        rep = build_rep("A", 1.5, 30, phi=lambda n: phi_closed("A", 1.5, n) * (1 + 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = [verify(rep) for verify in (verify_heisenberg, verify_gh_relation,
+                                                  verify_ladder)]
+        assert [math.isnan(report.residual) for report in reports] == [True, True, False]
+        assert not any(report.passed for report in reports)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3c: G(1) = 1e-400 underflows to 0.0 "
+                                           "and the relation reads residual 1.0")
+    def test_an_underflowing_g_is_refused(self):
+        rep = build_rep("Dt", DeformationParams(q=1e-200, p=1e-300), 3)
+        with pytest.raises(DomainError, match=r"^G\(1\) leaves the double-precision range"):
+            verify_gh_relation(rep)
 
     def test_explicit_gh_argument(self):
         from defosc import gh_pair
@@ -806,7 +825,7 @@ def _scalar_table(family, params, stage, levels):
     return _levels(fn, stage, levels)
 
 
-# q == p, an int q (kept per level where it is the base) and the bases 0.5 and 2.0,
+# q == p, an int q (an exact int power where it is the base) and the bases 0.5 and 2.0,
 # whose phi and G, H take the rescaled and folded forms at D = 513 and 1000
 VECTOR_Q = (0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 2, 3)
 VECTOR_P = (0.5, 0.9, 1.0, 1.1, 1.5, 2.0)
@@ -830,11 +849,11 @@ class TestVectorTables:
                     for stage, levels, table, _ in tables:
                         scalar = np.array(_scalar_table(family, params, stage, levels))
                         assert table.tobytes() == scalar.tobytes(), (stage, q, p, dim)
-                    if type(params.power_base) is int:  # an int q keeps the per-level tables
-                        assert not tables
                     vectorised += bool(tables)
                     if isinstance(expected[0], type):  # refused
                         continue
+                    if type(params.power_base) is int:  # an int q takes the power vector too
+                        assert tables, (q, dim)
                     rep = build_rep(family, params, dim)
                     assert _gh_outcome(rep) == _gh_outcome(rep, per_level=True), (q, p, dim)
                     copy = dataclasses.replace(rep)  # recomputes phi for verify_ladder
@@ -859,9 +878,10 @@ class TestVectorTables:
 
     @pytest.mark.parametrize("family", [
         FamilyId(FamilyTag.A, 2.0, 0.5), FamilyId(FamilyTag.C, -1.5, 3.0),
-        FamilyId(FamilyTag.BT, 0.0, 1.0), FamilyId(FamilyTag.D, 2, 1),  # int constants: per level
-        FamilyId(FamilyTag.CT, 1.5, 1.5)])
-    @pytest.mark.parametrize("q", (0.5, 0.9, 1.1, 2.0))
+        FamilyId(FamilyTag.BT, 0.0, 1.0), FamilyId(FamilyTag.D, 2, 1),
+        FamilyId(FamilyTag.CT, 1.5, 1.5), FamilyId(FamilyTag.B, Fraction(3, 2), True),
+        FamilyId(FamilyTag.A, np.float32(0.1), np.int64(-3))])
+    @pytest.mark.parametrize("q", (0.5, 0.9, 1.1, 2.0, 2))  # an int base too
     def test_general_constants_with_a_phi_override(self, family, q):
         params = DeformationParams(q=q, p=1.3 if family.two_parameter else None)
         phi = lambda n: phi_closed(family.tag.value, params, n)
