@@ -15,18 +15,17 @@ from .errors import *  # noqa: F403
 from .families import *  # noqa: F403
 from .spectra import *  # noqa: F403
 
-# `fock` and `symmetry` import numpy.  Their names, and the two submodules
-# themselves, are resolved on first access, so that `import defosc` and the
-# scalar path (dsf, families, spectra) stay numpy-free.  A resolved name is
-# stored as a plain module attribute: later reads cost nothing, and code that
-# rebinds module attributes (tracers, monkeypatching) finds it.  This is the
-# one hand-written name list: reading the two modules' `__all__` would load
-# numpy.
+# `fock` and `symmetry` (the metrics) import numpy.  Their names, and the two
+# submodules themselves, are resolved on first access, so that `import defosc`
+# and the scalar path (dsf with the symmetrized forms, families, spectra) stay
+# numpy-free.  A resolved name is stored as a plain module attribute: later
+# reads cost nothing, and code that rebinds module attributes (tracers,
+# monkeypatching) finds it.  This is the one hand-written name list: reading
+# the two modules' `__all__` would load numpy.
 _LAZY = {
     **dict.fromkeys(["HBAR", "MAX_DIM", "FockRep", "ResidualReport", "build_rep",
                      "verify_gh_relation", "verify_heisenberg", "verify_ladder"], "fock"),
-    **dict.fromkeys(["MetricDiagonal", "SymmetrizedDSF", "find_metric", "hermiticity_defect",
-                     "phi_symmetrized", "phi_symmetrized_qp", "symmetrized_routes"], "symmetry"),
+    **dict.fromkeys(["MetricDiagonal", "find_metric", "hermiticity_defect"], "symmetry"),
 }
 _SUBMODULES = frozenset(_LAZY.values())
 

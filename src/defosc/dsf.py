@@ -6,11 +6,11 @@ module evaluates the closed-form phi of the eight built-in coefficient
 families (A-D with one deformation parameter q, their two-parameter
 counterparts At-Dt with q and p), reconstructs phi from arbitrary operator
 functions (G, H) of the defining relation H(N) a- a+ - G(N) a+ a- = 1, and
-provides the underlying q-number brackets.
+provides the q-number brackets and the (q <-> 1/q)- and (q <-> p)-symmetrized phi.
 
 Conventions: hbar = 1 throughout; parameters of the core families are real
-and strictly positive (complex unit-circle parameters are the business of
-:mod:`defosc.symmetry`).
+and strictly positive, while the symmetrized forms also accept q on the unit
+circle, or complex q and p such as a conjugate pair.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import cmath
 import math
 import sys
 from enum import Enum
-from numbers import Integral, Rational, Real
+from numbers import Complex, Integral, Rational, Real
 from typing import Callable, Literal
 import unicodedata
 
@@ -36,6 +36,9 @@ __all__ = [
     "phi_closed",
     "phi_from_gh",
     "phi_ratio_check",
+    "phi_symmetrized",
+    "phi_symmetrized_qp",
+    "symmetrized_routes",
 ]
 
 #: |1 + x**(2n-2)| or |1 + x**(2n)| below this counts as a pole (unit circle).
@@ -259,6 +262,14 @@ def _require_nonzero(value: object, name: str, context: str) -> None:
         raise DomainError(f"{context} requires finite {name} != 0, got {_show(value)}")
 
 
+def _plain(value: object) -> object:
+    """A numpy float or complex scalar as the Python float or complex it holds, else the value
+    itself: numpy would compare an np.float32 with _MAX_FLOAT in float32, where it overflows."""
+    if isinstance(value, Rational) or not isinstance(value, Complex):  # an int, a Fraction, ...
+        return value
+    return float(value) if isinstance(value, Real) else complex(value)
+
+
 def _as_params(params: DeformationParams | float) -> DeformationParams:
     if isinstance(params, DeformationParams):
         return params
@@ -313,6 +324,7 @@ def _check_tol(tol: float) -> None:
 def bracket_q(n: int, q: float) -> float:
     """q-bracket [n]_q = (1 - q**n)/(1 - q), with the q = 1 limit n taken exactly."""
     _check_level(n)
+    q = _plain(q)
     _require_positive(q, "q", "bracket_q")
     if q == 1:
         return float(n)
@@ -323,6 +335,7 @@ def bracket_q(n: int, q: float) -> float:
 def bracket_pq(x: int, q: float, p: float) -> float:
     """(p,q)-bracket [x]_{q,p} = (p**x - q**x)/(p - q); at p = q the limit x*q**(x-1)."""
     _check_level(x)
+    q, p = _plain(q), _plain(p)
     _require_positive(q, "q", "bracket_pq")
     _require_positive(p, "p", "bracket_pq")
     fq, fp = float(q), float(p)  # as in bracket_q
@@ -338,6 +351,7 @@ def bracket_sym(x: int, q: float | complex) -> float | complex:
     Real for real q and on the unit circle, where it equals sin(x*theta)/sin(theta).
     """
     _check_level(x)
+    q = _plain(q)
     _require_nonzero(q, "q", "bracket_sym")
     if q == 1 or q == -1:
         return x * q ** ((x - 1) % 2)  # by parity: a float or complex power of x - 1 loses it
@@ -528,6 +542,112 @@ def phi_ratio_check(
 
 
 # ---------------------------------------------------------------------------
+# symmetrized structure functions
+# ---------------------------------------------------------------------------
+
+_UNIT_CIRCLE_TOL = 1e-12
+_CROSS_CHECK_TOL = 1e-10
+
+
+def _validate_sym_parameter(q) -> complex:
+    if isinstance(q, complex) and q.imag != 0:
+        _require_nonzero(q, "q", "phi_symmetrized")
+        if abs(abs(q) - 1.0) > _UNIT_CIRCLE_TOL:
+            raise DomainError(f"complex q must lie on the unit circle, got |q| = {abs(q)!r}")
+        return q
+    _require_positive(q.real if isinstance(q, complex) else q, "q", "phi_symmetrized")  # 1+0j too
+    return complex(q)
+
+
+def symmetrized_routes(base: FamilyId | str, q, n: int) -> tuple[complex, complex]:
+    """Both evaluations of the symmetrized structure function, unreduced.
+
+    Returns (average, factorized):
+
+    * average     = (phi_q(n) + phi_{1/q}(n)) / 2 from the closed forms;
+    * factorized  = (x**m + x**-m) (s**(n-1) + s**(1-n))
+                    / ((x**n + x**-n)(x**(n-1) + x**(1-n))) * [[n]]_s
+
+    with s = sqrt(x) (principal branch) and m = (1 + e_f + e_k) n - e_f from
+    the family's exponent pair, which is 3n - 1 minus the family's ratio
+    exponent relative to the first structure function.  The
+    two expressions are algebraically equal; evaluating both is the internal
+    consistency check used by :func:`phi_symmetrized`.
+    """
+    _check_level(n)
+    base = FamilyId.parse(base)
+    if base.two_parameter:
+        raise DomainError("unit-circle symmetrization applies to one-parameter families")
+    x = _validate_sym_parameter(_plain(q))
+    letter = base.tag.letter
+    if n == 0:
+        return 0j, 0j
+    avg = 0.5 * (_phi_power_base(letter, x, n) + _phi_power_base(letter, 1.0 / x, n))
+    if x == 1:
+        return avg, complex(n)
+    s = cmath.sqrt(x)
+    ef, ek = _EXPONENTS[letter]
+    m = (1 + ef + ek) * n - ef
+    try:
+        fact = (
+            (x**m + x**-m)
+            * (s ** (n - 1) + s ** (1 - n))
+            / ((x**n + x**-n) * (x ** (n - 1) + x ** (1 - n)))
+            * bracket_sym(n, s)
+        )
+    except OverflowError:
+        raise DomainError(
+            f"factorized symmetrized phi({_show(n)}) leaves the double-precision range at q = {_show(q)}"
+        ) from None
+    return avg, fact
+
+
+def phi_symmetrized(base: FamilyId | str, q, n: int) -> float:
+    """(q <-> 1/q)-symmetrized structure function, checked against both forms.
+
+    Accepts real q > 0 or complex q on the unit circle.  The averaging and
+    factorized evaluations must agree to 1e-10 and the imaginary part must be
+    negligible at the same scale; either failure raises DomainError naming n,
+    else the real part is returned.
+    """
+    avg, fact = symmetrized_routes(base, q, n)
+    scale = max(1.0, abs(avg), abs(fact))
+    if abs(avg - fact) > _CROSS_CHECK_TOL * scale:
+        raise DomainError(f"symmetrized evaluations disagree at n = {_show(n)}: {avg!r} vs {fact!r}")
+    if abs(avg.imag) > _CROSS_CHECK_TOL * scale:
+        raise DomainError(f"symmetrized value has a stray imaginary part at n = {_show(n)}: {avg!r}")
+    return avg.real
+
+
+def phi_symmetrized_qp(base: FamilyId | str, q, p, n: int):
+    """(q <-> p)-symmetrized two-parameter structure function.
+
+    Returns (phi_{q,p}(n) + phi_{p,q}(n)) / 2, which is exactly symmetric
+    under swapping q and p.  Parameters may be real positive or complex with
+    p = conj(q) = r e^{-i theta}; realness of the result for the conjugate
+    choice is observable rather than assumed, so complex inputs return the
+    complex value.
+    """
+    base = FamilyId.parse(base)
+    if not base.two_parameter:
+        raise DomainError("phi_symmetrized_qp applies to two-parameter families")
+    _check_level(n)
+    q, p = _plain(q), _plain(p)
+    if isinstance(q, complex) and q.imag != 0 or isinstance(p, complex) and p.imag != 0:
+        _require_nonzero(q, "q", "phi_symmetrized_qp")
+        _require_nonzero(p, "p", "phi_symmetrized_qp")
+    else:  # a zero imaginary part counts as real
+        q, p = [v.real if isinstance(v, complex) else v for v in (q, p)]
+        _require_positive(q, "q", "phi_symmetrized_qp")
+        _require_positive(p, "p", "phi_symmetrized_qp")
+        q, p = float(q), float(p)
+    for name, ratio in (("q/p", q / p), ("p/q", p / q)):
+        _require_nonzero(ratio, name, "phi_symmetrized_qp")
+    letter = base.tag.letter  # real parameters give a float: every base below is real
+    return 0.5 * (_phi_power_base(letter, q / p, n, p) + _phi_power_base(letter, p / q, n, q))
+
+
+# ---------------------------------------------------------------------------
 # evaluatable structure function with provenance
 # ---------------------------------------------------------------------------
 
@@ -558,18 +678,20 @@ class StructureFunction(_Record):
         return recipe
 
     @classmethod
-    def symmetrized(cls, family, q) -> "StructureFunction":
-        family = FamilyId.parse(family)
-        return cls(family, DeformationParams(q=q), "symmetrized")
+    def symmetrized(cls, family, params) -> "StructureFunction":
+        """phi_symmetrized of a one-parameter family, phi_symmetrized_qp when params carry p."""
+        symmetrized = cls(FamilyId.parse(family), _as_params(params), "symmetrized")
+        symmetrized(0)  # refuses a bad (family, params) here, as from_gh does
+        return symmetrized
 
     def __call__(self, n: int) -> float:
         if self.kind == "closed-form":
             return phi_closed(self.family, self.params, n)
         if self.kind == "recipe":
-            from . import families as _families
+            from . import families as _families  # families imports dsf
 
             pair = _families.gh_pair(self.family, self.params)
             return phi_from_gh(pair.G, pair.H, n)
-        from . import symmetry as _symmetry
-
-        return _symmetry.phi_symmetrized(self.family, self.params.q, n)
+        if self.params.p is None:
+            return phi_symmetrized(self.family, self.params.q, n)
+        return phi_symmetrized_qp(self.family, self.params.q, self.params.p, n)

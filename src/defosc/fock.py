@@ -157,7 +157,8 @@ def build_rep(
 
     phi(0..D) and f, g, h, k come from one power vector (see the module
     docstring).  Raises DomainError naming the level where phi is negative, or
-    where phi or a coefficient f, g, h, k leaves the double-precision range.
+    where phi, a coefficient f, g, h, k or a band entry such as
+    x_sub[n] = g(n+1) sqrt(phi(n+1)) leaves the double-precision range.
     """
     family = FamilyId.parse(family)
     params = _as_params(params)
@@ -187,7 +188,8 @@ def build_rep(
         progressions += [(2, -2, table), (2, 0, table), (1, 0, table), (-1, 1, table),
                          (1 - ef - ek, ef - 1, table)]
     powers = _power_slices(x, progressions)
-    with np.errstate(all="ignore"):  # an overflowed power is inf: its level falls back
+    # an overflowed power is inf and its level falls back; an overflowed band entry is refused
+    with np.errstate(all="ignore"):
         if phi is None:  # phi(0) = 0; _phi_power_base rescales a value below the normal range
             d1, d2, xn, x1n, lead = powers[4:]
             value = (2.0 * lead * ((1.0 - xn) / (1.0 - x)) * (1.0 + x1n)
@@ -197,12 +199,17 @@ def build_rep(
                                                        "phi", table)))
         f, g, h, k = [_settled(c * w / _SQRT2, w, fn, name, levels)
                       for w, (fn, name, levels, c) in zip(powers, laws)]
-    roots = np.sqrt(phi_vals[1:dim])  # sqrt(phi(1)) .. sqrt(phi(D-1))
+        roots = np.sqrt(phi_vals[1:dim])  # sqrt(phi(1)) .. sqrt(phi(D-1))
+        x_sup, x_sub, p_sup, p_sub = bands = np.array((f, g, h, k)) * roots
+        # one sum tests every entry; only if it is not finite are they walked (it may overflow)
+        if not math.isfinite(np.add.reduce(bands, axis=None)) and not np.isfinite(bands).all():
+            row, i = np.argwhere(~np.isfinite(bands))[0].tolist()  # the first band, then entry
+            (_, law, levels, _), band = laws[row], ("x_sup", "x_sub", "p_sup", "p_sub")[row]
+            raise DomainError(f"{band}[{i}] = {law}({levels[i]}) sqrt(phi({i + 1})) "
+                              "leaves the double-precision range")
     rep = FockRep(family=family, params=params, dim=dim, ladder=roots,
-                  x_sub=(g * roots).astype(complex),
-                  x_sup=(f * roots).astype(complex),
-                  p_sub=1j * (k * roots),
-                  p_sup=-1j * (h * roots))
+                  x_sub=x_sub.astype(complex), x_sup=x_sup.astype(complex),
+                  p_sub=1j * p_sub, p_sup=-1j * p_sup)
     if phi is None:
         object.__setattr__(rep, "_phi", phi_vals)  # frozen dataclass
     return rep

@@ -1,159 +1,21 @@
-"""Symmetrized structure functions and pseudo-Hermiticity metrics.
+"""Pseudo-Hermiticity metrics of the truncated position and momentum operators.
 
-The core families admit only real deformation parameters; averaging a
-structure function with its parameter-inverted cousin produces a
-(q <-> 1/q)-symmetric function that also accepts q on the unit circle.  For
-the non-Hermitian position/momentum matrices a positive diagonal metric eta
-with eta T eta^-1 = T^dagger is constructed entrywise.
+For the non-Hermitian X or P a positive diagonal metric eta with eta T eta^-1 =
+T^dagger is constructed entrywise (the symmetrized phi are in :mod:`defosc.dsf`).
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dsf import (
-    _EXPONENTS, DeformationParams, FamilyId, _check_level, _check_tol, _phi_power_base,
-    _require_nonzero, _require_positive, _show, bracket_sym,
-)
+from .dsf import _check_tol, _show
 from .errors import DegenerateOperatorError, DomainError, NoMetricError
 from .fock import FockRep
 
-__all__ = [
-    "SymmetrizedDSF",
-    "MetricDiagonal",
-    "phi_symmetrized",
-    "phi_symmetrized_qp",
-    "symmetrized_routes",
-    "find_metric",
-    "hermiticity_defect",
-]
+__all__ = ["MetricDiagonal", "find_metric", "hermiticity_defect"]
 
-_UNIT_CIRCLE_TOL = 1e-12
-_CROSS_CHECK_TOL = 1e-10
-
-
-def _validate_sym_parameter(q) -> complex:
-    if isinstance(q, complex) and q.imag != 0:
-        _require_nonzero(q, "q", "phi_symmetrized")
-        if abs(abs(q) - 1.0) > _UNIT_CIRCLE_TOL:
-            raise DomainError(f"complex q must lie on the unit circle, got |q| = {abs(q)!r}")
-        return q
-    _require_positive(q.real if isinstance(q, complex) else q, "q", "phi_symmetrized")  # 1+0j too
-    return complex(q)
-
-
-def symmetrized_routes(base: FamilyId | str, q, n: int) -> tuple[complex, complex]:
-    """Both evaluations of the symmetrized structure function, unreduced.
-
-    Returns (average, factorized):
-
-    * average     = (phi_q(n) + phi_{1/q}(n)) / 2 from the closed forms;
-    * factorized  = (x**m + x**-m) (s**(n-1) + s**(1-n))
-                    / ((x**n + x**-n)(x**(n-1) + x**(1-n))) * [[n]]_s
-
-    with s = sqrt(x) (principal branch) and m = (1 + e_f + e_k) n - e_f from
-    the family's exponent pair, which is 3n - 1 minus the family's ratio
-    exponent relative to the first structure function.  The
-    two expressions are algebraically equal; evaluating both is the internal
-    consistency check used by :func:`phi_symmetrized`.
-    """
-    _check_level(n)
-    base = FamilyId.parse(base)
-    if base.two_parameter:
-        raise DomainError("unit-circle symmetrization applies to one-parameter families")
-    x = _validate_sym_parameter(q)
-    letter = base.tag.letter
-    if n == 0:
-        return 0j, 0j
-    avg = 0.5 * (_phi_power_base(letter, x, n) + _phi_power_base(letter, 1.0 / x, n))
-    if x == 1:
-        return avg, complex(n)
-    s = cmath.sqrt(x)
-    ef, ek = _EXPONENTS[letter]
-    m = (1 + ef + ek) * n - ef
-    try:
-        fact = (
-            (x**m + x**-m)
-            * (s ** (n - 1) + s ** (1 - n))
-            / ((x**n + x**-n) * (x ** (n - 1) + x ** (1 - n)))
-            * bracket_sym(n, s)
-        )
-    except OverflowError:
-        raise DomainError(
-            f"factorized symmetrized phi({_show(n)}) leaves the double-precision range at q = {_show(q)}"
-        ) from None
-    return avg, fact
-
-
-def phi_symmetrized(base: FamilyId | str, q, n: int) -> float:
-    """(q <-> 1/q)-symmetrized structure function, checked against both forms.
-
-    Accepts real q > 0 or complex q on the unit circle.  The averaging and
-    factorized evaluations must agree to 1e-10 and the imaginary part must be
-    negligible at the same scale; either failure raises DomainError naming n,
-    else the real part is returned.
-    """
-    avg, fact = symmetrized_routes(base, q, n)
-    scale = max(1.0, abs(avg), abs(fact))
-    if abs(avg - fact) > _CROSS_CHECK_TOL * scale:
-        raise DomainError(f"symmetrized evaluations disagree at n = {_show(n)}: {avg!r} vs {fact!r}")
-    if abs(avg.imag) > _CROSS_CHECK_TOL * scale:
-        raise DomainError(f"symmetrized value has a stray imaginary part at n = {_show(n)}: {avg!r}")
-    return avg.real
-
-
-def phi_symmetrized_qp(base: FamilyId | str, q, p, n: int):
-    """(q <-> p)-symmetrized two-parameter structure function.
-
-    Returns (phi_{q,p}(n) + phi_{p,q}(n)) / 2, which is exactly symmetric
-    under swapping q and p.  Parameters may be real positive or complex with
-    p = conj(q) = r e^{-i theta}; realness of the result for the conjugate
-    choice is observable rather than assumed, so complex inputs return the
-    complex value.
-    """
-    base = FamilyId.parse(base)
-    if not base.two_parameter:
-        raise DomainError("phi_symmetrized_qp applies to two-parameter families")
-    _check_level(n)
-    if isinstance(q, complex) and q.imag != 0 or isinstance(p, complex) and p.imag != 0:
-        _require_nonzero(q, "q", "phi_symmetrized_qp")
-        _require_nonzero(p, "p", "phi_symmetrized_qp")
-    else:  # a zero imaginary part counts as real
-        q, p = [v.real if isinstance(v, complex) else v for v in (q, p)]
-        _require_positive(q, "q", "phi_symmetrized_qp")
-        _require_positive(p, "p", "phi_symmetrized_qp")
-        q, p = float(q), float(p)
-    for name, ratio in (("q/p", q / p), ("p/q", p / q)):
-        _require_nonzero(ratio, name, "phi_symmetrized_qp")
-    letter = base.tag.letter  # real parameters give a float: every base below is real
-    return 0.5 * (_phi_power_base(letter, q / p, n, p) + _phi_power_base(letter, p / q, n, q))
-
-
-@dataclass(frozen=True)
-class SymmetrizedDSF:
-    """Evaluatable symmetrized structure function for one base family."""
-
-    base_family: FamilyId
-    params: DeformationParams
-
-    def __post_init__(self):
-        base = FamilyId.parse(self.base_family)
-        object.__setattr__(self, "base_family", base)
-        if base.two_parameter != self.params.two_parameter:
-            raise DomainError("base family arity must match the parameter set")
-
-    def __call__(self, n: int):
-        if self.params.two_parameter:
-            return phi_symmetrized_qp(self.base_family, self.params.q, self.params.p, n)
-        return phi_symmetrized(self.base_family, self.params.q, n)
-
-
-# ---------------------------------------------------------------------------
-# pseudo-Hermiticity
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class MetricDiagonal:

@@ -350,6 +350,14 @@ class TestExitCodeContract:
         assert (code, out) == (2, "")
         assert err == "error: verify reports non-finite numbers for heisenberg, gh_relation\n"
 
+    def test_verify_refuses_an_overflowing_band(self, capsys):
+        # g(22) sqrt(phi(22)) overflows: this warned from build_rep and then reported
+        # non-finite numbers
+        code, out, err = run(capsys, "verify", "--family", "C", "--q", "1e5", "--dim", "30",
+                             "--perturb", "1e300")
+        assert (code, out) == (2, "")
+        assert err == "error: x_sub[21] = g(22) sqrt(phi(22)) leaves the double-precision range\n"
+
     @pytest.mark.parametrize("argv", [
         ("--family", "B", "--q", "2", "--dim", "300"),
         ("--family", "B", "--q", "1.5", "--dim", "500"),

@@ -37,6 +37,7 @@ from defosc import (
     phi_symmetrized,
     phi_symmetrized_qp,
     spectrum,
+    symmetrized_routes,
     verify_gh_relation,
     verify_heisenberg,
     verify_ladder,
@@ -294,6 +295,9 @@ def _numpy_outcome(call):
     return "returns", type(value), repr(value)
 
 
+UNIT_COMPLEX64 = np.complex64(cmath.exp(0.3j))
+
+
 class TestNumpyScalarParameters:
     """A numpy float q or p is stored as the Python float it holds, so it takes the float paths."""
 
@@ -375,6 +379,33 @@ class TestNumpyScalarParameters:
             return [_numpy_outcome(call) for call in calls]
 
         assert outcomes(np.float64) == outcomes(float)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fn,args", [
+        (bracket_q, (3, np.float32(1.1))),
+        (bracket_q, (3, np.float16(1.1))),
+        (bracket_q, (3, np.float32(-1.1))),
+        (bracket_pq, (3, np.float32(1.1), 0.9)),
+        (bracket_sym, (3, np.float32(1.1))),
+        (bracket_sym, (3, UNIT_COMPLEX64)),
+        (phi_symmetrized, ("A", np.float32(1.1), 3)),
+        (phi_symmetrized, ("A", np.complex64(1.1), 3)),
+        (phi_symmetrized, ("A", UNIT_COMPLEX64, 3)),
+        (symmetrized_routes, ("B", np.float32(1.1), 3)),
+        (phi_symmetrized_qp, ("At", np.float32(1.2), 0.9, 3)),
+        (phi_symmetrized_qp, ("At", np.complex64(1.3 + 0.5j), np.complex64(1.3 - 0.5j), 3)),
+    ], ids=lambda value: value.__name__ if callable(value) else None)
+    def test_brackets_and_symmetrized_forms_take_the_python_number(self, fn, args):
+        # a float32 met _MAX_FLOAT cast to float32: "overflow encountered in cast"; an
+        # np.complex64 q was refused as "phi_symmetrized requires real q"
+        plain = [arg.item() if isinstance(arg, np.generic) else arg for arg in args]
+        assert _numpy_outcome(lambda: fn(*args)) == _numpy_outcome(lambda: fn(*plain))
+
+    def test_a_complex64_off_the_unit_circle_is_refused_as_such(self):
+        # single precision holds exp(0.3j) only to about 2e-8
+        with pytest.raises(DomainError, match=r"^complex q must lie on the unit circle, "
+                                              r"got \|q\| = 1.0000000238531952$"):
+            phi_symmetrized("A", UNIT_COMPLEX64, 3)
 
 
 def _verified(rep):

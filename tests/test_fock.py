@@ -144,6 +144,26 @@ class TestBuildRep:
         assert copy == rep and repr(copy) == repr(rep)
         assert "_phi" not in repr(rep)
 
+    @pytest.mark.parametrize("family,q,dim,message", [
+        ("C", 1e5, 30, "x_sub[21] = g(22) sqrt(phi(22))"),
+        ("D", 1e150, 3, "p_sup[1] = h(1) sqrt(phi(2))"),
+    ])
+    def test_an_overflowing_band_entry_names_its_band_and_level(self, family, q, dim, message):
+        # f, g, h, k and phi are finite but their product is not: this warned and built inf bands
+        phi = lambda n: phi_closed(family, q, n) * (1.0 + 1e300)  # noqa: E731
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=rf"^{re.escape(message)} leaves the "
+                                                  r"double-precision range$"):
+                build_rep(family, q, dim, phi=phi)
+
+    def test_finite_band_entries_whose_sum_overflows_are_kept(self):
+        phi = {0: 0.0, 1: 1.6e308, 2: 2.0, 3: 1.0}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = build_rep("A", 1e77, 3, phi=phi.__getitem__)
+        assert np.all(np.isfinite(rep.x_sub)) and sum(rep.x_sub.real.tolist()) == math.inf
+
     def test_negative_phi_names_level(self):
         broken = lambda n: -1.0 if n == 4 else float(n)
         with pytest.raises(DomainError, match="phi\\(4\\)"):

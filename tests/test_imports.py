@@ -76,6 +76,18 @@ def test_package_import_does_not_load_numpy():
     assert out == "False\n"
 
 
+@pytest.mark.parametrize("call", [
+    'defosc.phi_symmetrized("A", 1.1, 5)',
+    'defosc.phi_symmetrized_qp("At", 1.2, 0.9, 5)',
+    'defosc.symmetrized_routes("A", cmath.exp(0.3j), 5)',
+    'defosc.StructureFunction.symmetrized("A", 1.1)(5)',
+])
+def test_symmetrized_forms_do_not_load_numpy(call):
+    # they lived beside the metrics in `symmetry`, whose import loaded numpy
+    out = fresh(f"import cmath, sys, defosc; {call}; print('numpy' in sys.modules)").stdout
+    assert out == "False\n"
+
+
 def test_submodule_attribute_loads_on_access():
     out = fresh("import defosc; print(defosc.fock.build_rep is defosc.build_rep)").stdout
     assert out == "True\n"

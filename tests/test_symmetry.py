@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -14,7 +15,6 @@ from defosc import (
     NoMetricError,
     PoleError,
     StructureFunction,
-    SymmetrizedDSF,
     build_rep,
     find_metric,
     hermiticity_defect,
@@ -23,10 +23,10 @@ from defosc import (
     phi_symmetrized_qp,
     symmetrized_routes,
 )
-from defosc import symmetry
+from defosc import dsf, symmetry
 from defosc.dsf import _check_tol
 
-from conftest import ONE_PARAM, TWO_PARAM
+from conftest import ALL_FAMILIES, ONE_PARAM, TWO_PARAM
 
 THETAS = (math.pi / 12, math.pi / 7, math.pi / 5, 2 * math.pi / 5)
 # at theta = pi/12 the closed forms have genuine poles at these levels
@@ -103,10 +103,10 @@ class TestSymmetrizedForms:
         (lambda n: phi_symmetrized("A", 1e-300, n), 2),
         (lambda n: phi_symmetrized("D", 1e-300, n), 33),
         (lambda n: symmetrized_routes("D", 1e-300, n), 33),
-        (lambda n: SymmetrizedDSF("D", DeformationParams(q=1e-300))(n), 33),
+        (lambda n: StructureFunction.symmetrized("D", DeformationParams(q=1e-300))(n), 33),
         (lambda n: StructureFunction.symmetrized("D", 1e-300)(n), 33),
-    ], ids=["phi_symmetrized_A", "phi_symmetrized_D", "symmetrized_routes", "SymmetrizedDSF",
-            "StructureFunction"])
+    ], ids=["phi_symmetrized_A", "phi_symmetrized_D", "symmetrized_routes",
+            "StructureFunction_params", "StructureFunction"])
     def test_underflowed_complex_power_names_the_level(self, evaluate, n):
         # complex x**(1 - n) divides by an underflowed 0: this raised ZeroDivisionError
         with pytest.raises(DomainError, match=rf"^phi\({n}\) leaves the double-precision range "
@@ -120,7 +120,7 @@ class TestSymmetrizedForms:
             phi_symmetrized("A", 1.0000001, 10)
 
     def test_stray_imaginary_part_is_a_domain_error(self, monkeypatch):
-        monkeypatch.setattr(symmetry, "symmetrized_routes", lambda base, q, n: (2 + 1j, 2 + 1j))
+        monkeypatch.setattr(dsf, "symmetrized_routes", lambda base, q, n: (2 + 1j, 2 + 1j))
         with pytest.raises(DomainError, match=r"^symmetrized value has a stray imaginary part "
                                               r"at n = 4: \(2\+1j\)$"):
             phi_symmetrized("A", 1.1, 4)
@@ -139,11 +139,11 @@ class TestSymmetrizedForms:
         lambda n: phi_symmetrized("A", 1.1, n),
         lambda n: symmetrized_routes("A", 1.1, n),
         lambda n: phi_symmetrized_qp("At", 1.1, 0.9, n),
-        lambda n: SymmetrizedDSF("A", DeformationParams(q=1.1))(n),
-        lambda n: SymmetrizedDSF("At", DeformationParams(q=1.1, p=0.9))(n),
+        lambda n: StructureFunction.symmetrized("A", DeformationParams(q=1.1))(n),
+        lambda n: StructureFunction.symmetrized("At", DeformationParams(q=1.1, p=0.9))(n),
         lambda n: StructureFunction.symmetrized("A", 1.1)(n),
-    ], ids=["phi_symmetrized", "symmetrized_routes", "phi_symmetrized_qp", "SymmetrizedDSF",
-            "SymmetrizedDSF_qp", "StructureFunction"])
+    ], ids=["phi_symmetrized", "symmetrized_routes", "phi_symmetrized_qp",
+            "StructureFunction_params", "StructureFunction_qp", "StructureFunction"])
     @pytest.mark.parametrize("n,message", [
         (2.5, "level must be an integer, got 2.5"),
         (True, "level must be an integer, got True"),
@@ -178,7 +178,8 @@ class TestTwoParameterSymmetrization:
         # phi at base p/q = 1/2 divided by q, is about 4e180
         swapped = phi_closed("At", DeformationParams(q=1.0, p=2.0), 300)
         assert phi_symmetrized_qp("At", 2.0, 1.0, 300) == 0.5 * swapped
-        assert SymmetrizedDSF("At", DeformationParams(q=2.0, p=1.0))(300) == 0.5 * swapped
+        assert StructureFunction.symmetrized("At", DeformationParams(q=2.0, p=1.0))(300) \
+            == 0.5 * swapped
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):
@@ -206,15 +207,67 @@ class TestTwoParameterSymmetrization:
         with pytest.raises(DomainError, match=message):
             phi_symmetrized_qp("At", q, p, 5)
         with pytest.raises(DomainError, match=message):
-            SymmetrizedDSF("Bt", DeformationParams(q=q, p=p))(5)
+            StructureFunction.symmetrized("Bt", DeformationParams(q=q, p=p))(5)
 
     def test_wrapper_dispatch(self):
-        one = SymmetrizedDSF("A", DeformationParams(q=1.1))
-        two = SymmetrizedDSF("At", DeformationParams(q=1.2, p=0.9))
+        one = StructureFunction.symmetrized("A", DeformationParams(q=1.1))
+        two = StructureFunction.symmetrized("At", DeformationParams(q=1.2, p=0.9))
         assert one(4) == phi_symmetrized("A", 1.1, 4)
         assert two(4) == phi_symmetrized_qp("At", 1.2, 0.9, 4)
         with pytest.raises(DomainError):
-            SymmetrizedDSF("A", DeformationParams(q=1.2, p=0.9))
+            StructureFunction.symmetrized("A", DeformationParams(q=1.2, p=0.9))
+
+
+def _outcome(call):
+    """call()'s value, or the type and message of the DomainError it raises."""
+    try:
+        return call()
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+UNIT, CONJUGATE = cmath.exp(1j * math.pi / 5), 1.3 * cmath.exp(0.4j)
+
+
+class TestSymmetrizedStructureFunction:
+    def test_params_are_taken_as_given(self):
+        # this wrapped the params a second time: "phi_symmetrized requires real q, got
+        # DeformationParams(q=1.1, p=None)"
+        sf = StructureFunction.symmetrized("A", DeformationParams(q=1.1))
+        assert sf == StructureFunction.symmetrized("A", 1.1)
+        assert sf(3) == phi_symmetrized("A", 1.1, 3)
+
+    @pytest.mark.parametrize("family,params,message", [
+        ("A", -1.1, "phi_symmetrized requires finite q > 0, got -1.1"),
+        ("At", 1.1, "unit-circle symmetrization applies to one-parameter families"),
+        ("A", DeformationParams(q=1.1, p=0.9), "phi_symmetrized_qp applies to two-parameter "
+                                                "families"),
+        ("A", 2j, "complex q must lie on the unit circle, got |q| = 2.0"),
+        ("Bt", DeformationParams(q=1e300, p=1e-300), "phi_symmetrized_qp requires finite "
+                                                     "q/p != 0, got inf"),
+    ])
+    def test_a_bad_family_or_parameter_is_refused_at_construction(self, family, params,
+                                                                  message):
+        # the first two constructed and failed only when called
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            StructureFunction.symmetrized(family, params)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("q,p", [
+        (0.9, 1.2), (1.1, 0.9), (1.0, 1.0), (UNIT, UNIT.conjugate()),
+        (CONJUGATE, CONJUGATE.conjugate()),
+    ], ids=["0.9-1.2", "1.1-0.9", "1-1", "unit-circle", "conjugate-pair"])
+    def test_dispatch_matches_the_functions(self, family, q, p):
+        if family in ONE_PARAM:
+            sf = _outcome(lambda: StructureFunction.symmetrized(family, q))
+            expected = [_outcome(lambda: phi_symmetrized(family, q, n)) for n in range(20)]
+        else:
+            sf = _outcome(lambda: StructureFunction.symmetrized(family, DeformationParams(q, p)))
+            expected = [_outcome(lambda: phi_symmetrized_qp(family, q, p, n)) for n in range(20)]
+        if isinstance(sf, tuple):  # refused at construction: as level 0 is
+            assert sf == expected[0]
+        else:
+            assert [_outcome(lambda: sf(n)) for n in range(20)] == expected
 
 
 class TestHermiticityDefect:
