@@ -352,6 +352,8 @@ def bracket_sym(x: int, q: float | complex) -> float | complex:
     """
     _check_level(x)
     q = _plain(q)
+    if not isinstance(q, Complex):  # a str, None or a Decimal has no .real to test
+        raise DomainError(f"bracket_sym requires real or complex q, got {_show(q)}")
     _require_nonzero(q, "q", "bracket_sym")
     if q == 1 or q == -1:
         return x * q ** ((x - 1) % 2)  # by parity: a float or complex power of x - 1 loses it
@@ -378,8 +380,16 @@ def _in_range(name: str, args: tuple, formula: Callable[[], float | complex]) ->
 # f(n) = x**(e_f n)/sqrt(2) and k(n) = x**(e_k n)/sqrt(2) at base x = q or Q.
 # g, h, G, H, the closed-form phi and the ratio exponents all derive from it.
 _EXPONENTS = {"A": (1, 1), "B": (-2, -2), "C": (-2, 1), "D": (1, -2)}
+# (a, b) of the closed-form phi's leading power x**(a n + b), per base letter
+_PHI_AB = {letter: (1 - ef - ek, ef - 1) for letter, (ef, ek) in _EXPONENTS.items()}
 
 _MIN_NORMAL = 2.0**-1022  # smallest normal double; phi_closed rejects smaller phi(n >= 1)
+
+
+def _phi_value(x, p, lead, xn, x1n, d1, d2):
+    """phi(n) from lead = x**(a n + b), xn = x**n, x1n = x**(1-n), d1 = x**(2n-2) and
+    d2 = x**(2n), with only + - * /: floats, complex numbers and numpy arrays alike."""
+    return 2.0 * lead * ((1.0 - xn) / (1.0 - x)) * (1.0 + x1n) / ((1.0 + d1) * (1.0 + d2)) / p
 
 
 def _phi_power_base(
@@ -387,28 +397,30 @@ def _phi_power_base(
 ) -> float | complex:
     """Closed-form structure function of base `letter` at base x, divided by p.
 
-    phi(n) = 2 x**(a n + b) [n]_x (1 + x**(1-n)) / ((1 + x**(2n-2)) (1 + x**(2n)) p)
-    with (a, b) = (1 - e_f - e_k, e_f - 1).  Supports complex x (used by the
-    symmetrized forms); raises PoleError when a denominator vanishes on the
-    unit circle and DomainError when phi(n) overflows.  At a real base a
-    value that may have lost range on the way is recomputed by _phi_rescaled;
-    a true underflow returns 0.0 or a subnormal, which phi_closed rejects.
+    phi(n) = 2 x**(a n + b) [n]_x (1 + x**(1-n)) / ((1 + x**(2n-2)) (1 + x**(2n)) p),
+    _phi_value of the powers with (a, b) from _PHI_AB.  Supports complex x (the
+    symmetrized forms); raises PoleError when a denominator vanishes on the unit
+    circle and DomainError when phi(n) overflows, at an int x before its exact
+    powers are formed.  At a real base a value that may have lost range on the way
+    is recomputed by _phi_rescaled; a true underflow returns 0.0 or a subnormal,
+    which phi_closed rejects.
     """
     if n == 0:
         return 0j if isinstance(x, complex) else 0.0
     if x == 1:
         return n / p
-    ef, ek = _EXPONENTS[letter]
-    a, b = 1 - ef - ek, ef - 1
+    a, b = _PHI_AB[letter]
+    # an int x >= 2 puts phi(n) between x**(e-1)/4 and 4 x**e (e as in _phi_rescaled),
+    # so past 2**1100 or 2**-1100 it is out of range whatever the exact powers give
+    if type(x) is int and (abs((a - 3) * n + b + 2) - 1) * math.log2(x) > 1100:
+        raise DomainError(f"phi({_show(n)}) leaves the double-precision range at base {_show(x)}")
     real = not isinstance(x, complex)
     try:
-        d1 = 1.0 + x ** (2 * n - 2)
-        d2 = 1.0 + x ** (2 * n)
-        if not real and min(abs(d1), abs(d2)) < POLE_TOLERANCE:
+        d1, d2 = x ** (2 * n - 2), x ** (2 * n)
+        if not real and min(abs(1.0 + d1), abs(1.0 + d2)) < POLE_TOLERANCE:
             raise PoleError(n, cmath.phase(x))
-        qbr = (1.0 - x**n) / (1.0 - x)
         lead = x ** (a * n + b)
-        value = 2.0 * lead * qbr * (1.0 + x ** (1 - n)) / (d1 * d2) / p
+        value = _phi_value(x, p, lead, x**n, x ** (1 - n), d1, d2)
     except (OverflowError, ZeroDivisionError):  # complex x**(1-n) divides by an underflowed 0
         lead = value = _INF
     if real:
@@ -471,6 +483,26 @@ def _phi_at(letter: str, x: float, n: int, p: float = 1.0) -> float:
     if value < _MIN_NORMAL and n:  # phi > 0 at real q, p > 0
         raise DomainError(f"phi({_show(n)}) leaves the double-precision range at base {_show(x)}")
     return value
+
+
+def _energy_at(letter: str, x: float, n: int) -> float:
+    """spectra.energy's E(n) from checked one-parameter arguments: at a float x != 1 and
+    n >= 1 from the nine powers of phi(n) and phi(n+1), each formed once; else, or where
+    a level is not a normal double, through _phi_at, so values and refusals are energy's."""
+    if type(x) is float and x != 1.0 and n:
+        a, b = _PHI_AB[letter]
+        try:
+            lead0, lead1 = x ** (a * n + b), x ** (a * (n + 1) + b)
+            d1 = x ** (2 * n)
+            phi0 = _phi_value(x, 1.0, lead0, x**n, x ** (1 - n), x ** (2 * n - 2), d1)
+            phi1 = _phi_value(x, 1.0, lead1, x ** (n + 1), x**-n, d1, x ** (2 * n + 2))
+        except (OverflowError, ZeroDivisionError):
+            phi0 = _INF  # falls back
+        if (_MIN_NORMAL <= phi0 < _INF and _MIN_NORMAL <= phi1 < _INF
+                and lead0 >= _MIN_NORMAL and lead1 >= _MIN_NORMAL):
+            return 0.5 * (phi1 + phi0)
+    phi_n = _phi_at(letter, x, n)  # first, so a bad level is refused as given
+    return 0.5 * (_phi_at(letter, x, n + 1) + phi_n)
 
 
 def phi_from_gh(G: Callable[[int], float], H: Callable[[int], float], n: int) -> float:

@@ -52,8 +52,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .dsf import (
-    _EXPONENTS, _MIN_NORMAL, DeformationParams, FamilyId, _as_params, _check_family_params,
-    _check_level, _check_tol, _levels, _phi_at, _phi_table, _show,
+    _EXPONENTS, _MIN_NORMAL, _PHI_AB, DeformationParams, FamilyId, _as_params,
+    _check_family_params, _check_level, _check_tol, _levels, _phi_at, _phi_table, _phi_value, _show,
 )
 from .errors import DomainError
 from .families import _SQRT2, GHPair, coefficients, gh_pair
@@ -181,19 +181,18 @@ def build_rep(
             (cs.h, "h", lower, family.d0), (cs.k, "k", upper, 1.0))
     x, letter, p = params.power_base, family.tag.letter, params.p or 1.0
     ef, ek = _EXPONENTS[letter]
-    # f, g, h, k as families._power_law forms them, then, without an override, phi's
-    # x**(2n-2), x**(2n), x**n, x**(1-n) and x**(a n + b), n >= 1, as dsf._phi_power_base does
+    # f, g, h, k as families._power_law forms them, then, without an override, the
+    # powers x**(2n-2), x**(2n), x**n, x**(1-n) and x**(a n + b), n >= 1, of dsf._phi_value
     progressions = [(ef, 0, lower), (ek + 1, 0, upper), (ef + 1, 0, lower), (ek, 0, upper)]
     if phi is None:
         progressions += [(2, -2, table), (2, 0, table), (1, 0, table), (-1, 1, table),
-                         (1 - ef - ek, ef - 1, table)]
+                         (*_PHI_AB[letter], table)]
     powers = _power_slices(x, progressions)
     # an overflowed power is inf and its level falls back; an overflowed band entry is refused
     with np.errstate(all="ignore"):
         if phi is None:  # phi(0) = 0; _phi_power_base rescales a value below the normal range
             d1, d2, xn, x1n, lead = powers[4:]
-            value = (2.0 * lead * ((1.0 - xn) / (1.0 - x)) * (1.0 + x1n)
-                     / ((1.0 + d1) * (1.0 + d2)) / float(p))
+            value = _phi_value(x, float(p), lead, xn, x1n, d1, d2)
             phi_vals = np.concatenate(([0.0], _settled(value, np.minimum(lead, value),
                                                        lambda n: _phi_at(letter, x, n, p),
                                                        "phi", table)))

@@ -11,7 +11,7 @@ from numbers import Real
 
 from .dsf import (
     _EXPONENTS, DeformationParams, FamilyId, _as_params, _check_family_params, _check_level,
-    _check_tol, _in_range, _INF, _MAX_FLOAT, _phi_at, _Record, _show, phi_closed,
+    _check_tol, _energy_at, _in_range, _INF, _MAX_FLOAT, _Record, _show, phi_closed,
 )
 from .errors import DomainError
 
@@ -85,8 +85,8 @@ def ground_state_table(params: DeformationParams | float) -> tuple[float, float,
 def degeneracy_equation(family: FamilyId | str, q: float, n: int, m: int) -> float:
     """E_q(n) - E_q(m); its zeros in q are the accidental degeneracies.
 
-    (family, q) is checked once, as phi_closed checks it; the four phi values
-    then come from its kernel, so the result equals
+    (family, q) is checked once, as phi_closed checks it; each energy is then
+    one call of the dsf kernel _energy_at, so the result equals
     ``energy(family, q, n) - energy(family, q, m)`` bit for bit, and every
     refusal keeps energy's message and order: n == m, level n, family and q,
     phi(n) or phi(n + 1) out of range, level m.
@@ -103,11 +103,9 @@ def degeneracy_equation(family: FamilyId | str, q: float, n: int, m: int) -> flo
         _check_family_params(family, params, "phi_closed", printed=True)
         q = params.q  # a numpy float as the float it holds
     letter = family.tag.letter
-    phi_n = _phi_at(letter, q, n)
-    e_n = 0.5 * (_phi_at(letter, q, n + 1) + phi_n)
+    e_n = _energy_at(letter, q, n)
     _check_level(m)
-    phi_m = _phi_at(letter, q, m)
-    return e_n - 0.5 * (_phi_at(letter, q, m + 1) + phi_m)
+    return e_n - _energy_at(letter, q, m)
 
 
 def _bisect(f, lo: float, hi: float, f_lo: float, tol: float) -> tuple[float, tuple[float, float]]:

@@ -4,6 +4,7 @@ import pickle
 import random
 import re
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -502,6 +503,31 @@ class TestPhiClosed:
         with pytest.raises(DomainError, match=rf"phi\({n}\) leaves the double-precision range"):
             phi_closed(family, q, n)
 
+    @pytest.mark.parametrize("family", ONE_PARAM)
+    @pytest.mark.parametrize("call", [
+        lambda family, n: phi_closed(family, 3, n),
+        lambda family, n: energy(family, 3, n),
+        lambda family, n: degeneracy_equation(family, 3, n, 0),
+    ])
+    def test_an_int_q_out_of_range_is_refused_before_its_exact_powers(self, family, call):
+        # 3**(2n) alone would be an int of 9.5 million digits
+        start = time.perf_counter()
+        with pytest.raises(DomainError,
+                           match=r"^phi\(10000000\) leaves the double-precision range at base 3$"):
+            call(family, 10**7)
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("family", ONE_PARAM)
+    @pytest.mark.parametrize("q", (2, 3, 10, 1000))
+    def test_an_int_q_is_refused_from_the_level_its_float_is(self, family, q):
+        def first_refused(base):
+            for n in range(1, 2000):
+                try:
+                    phi_closed(family, base, n)
+                except DomainError:
+                    return n
+        assert first_refused(q) == first_refused(float(q)) is not None
+
     def test_the_kernel_alone_keeps_an_underflowing_value(self):
         # the min-normal refusal belongs to phi_closed's kernel, not to
         # _phi_power_base, whose symmetrized callers average an underflowing term
@@ -749,6 +775,10 @@ class TestDomainContract:
         lambda: energy("A", 1.1, BEYOND),
         lambda: degeneracy_equation("A", 1.1, BEYOND, 0),
         lambda: bracket_sym(3, BEYOND),
+        # these raised AttributeError, AttributeError and TypeError at _require_nonzero
+        lambda: bracket_sym(3, "1.1"),
+        lambda: bracket_sym(3, None),
+        lambda: bracket_sym(3, Decimal("1.1")),
         lambda: phi_symmetrized("A", BEYOND, 3),
         lambda: phi_symmetrized_qp("At", BEYOND, 1.0, 3),
         lambda: phi_symmetrized_qp("At", 1.1, 0.9, BEYOND),
@@ -805,6 +835,9 @@ class TestDomainContract:
         (lambda: bracket_q(3, Decimal("1.1")), "bracket_q requires real q, got Decimal('1.1')"),
         (lambda: bracket_pq(3, 1.1, Decimal("0.9")),
          "bracket_pq requires real p, got Decimal('0.9')"),
+        (lambda: bracket_sym(3, "1.1"), "bracket_sym requires real or complex q, got '1.1'"),
+        (lambda: bracket_sym(3, Decimal("1.1")),
+         "bracket_sym requires real or complex q, got Decimal('1.1')"),
         (lambda: phi_symmetrized("A", "1.1", 3), "phi_symmetrized requires real q, got '1.1'"),
         (lambda: phi_symmetrized("A", Decimal("1.1"), 3),
          "phi_symmetrized requires real q, got Decimal('1.1')"),

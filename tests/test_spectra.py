@@ -19,7 +19,7 @@ from defosc import (
     phi_closed,
     spectrum,
 )
-from defosc import spectra
+from defosc import dsf, spectra
 from defosc.cli import main
 
 from conftest import ONE_PARAM, assert_close
@@ -168,7 +168,7 @@ class TestDegeneracyEquation:
             degeneracy_equation("A", 1.1, 4, 4)
 
     @pytest.mark.parametrize("family", ONE_PARAM)
-    @pytest.mark.parametrize("q", (0.5, 0.8, 0.999, 1.001, 1.1, 1.5, 3))
+    @pytest.mark.parametrize("q", (0.5, 0.8, 0.999, 1.0, 1.001, 1.1, np.float64(1.1), 1.5, 3))
     def test_is_the_energy_difference_exactly(self, family, q):
         for n, m in ((0, 1), (1, 0), (10, 0), (3, 40), (90, 2), (250, 7)):
             try:
@@ -183,9 +183,34 @@ class TestDegeneracyEquation:
         # phi through the rescaled closed form: base 1.5 from n = 439, base 0.5 from n = 216
         ("C", 1.5, 439, 441), ("D", 1.5, 440, 3), ("C", 1.5, 900, 10), ("D", 1.5, 600, 0),
         ("B", 0.5, 216, 220), ("B", 0.6, 285, 0), ("B", 0.5, 220, 216),
+        # phi(n) direct and phi(n + 1) rescaled
+        ("C", 1.5, 438, 2), ("D", 1.5, 3, 438), ("B", 0.5, 205, 0),
     ])
     def test_is_the_energy_difference_exactly_past_the_rescale(self, family, q, n, m):
         assert degeneracy_equation(family, q, n, m) == energy(family, q, n) - energy(family, q, m)
+
+    def test_energy_kernel_is_energy_bit_for_bit(self, monkeypatch):
+        # seeded draws over the kernel's one-pass levels and every fallback to _phi_at:
+        # n = 0, q = 1, an int q, a power out of range, a level to rescale, a refusal
+        rng = random.Random(23)
+        phi_at, fallbacks = dsf._phi_at, []
+        monkeypatch.setattr(dsf, "_phi_at", lambda *args: fallbacks.append(args) or phi_at(*args))
+        outcomes = {"direct": 0, "fallback": 0, "refused": 0}
+        for _ in range(2000):
+            family = rng.choice(ONE_PARAM)
+            q = rng.choice([10 ** rng.uniform(-3, 3), 10 ** rng.uniform(-0.3, 0.3), 1.0, 2, 3])
+            n = rng.choice([0, rng.randint(1, 20), rng.randint(1, 1200)])
+            try:
+                expected = energy(family, q, n)
+            except DomainError as exc:
+                with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+                    dsf._energy_at(family, q, n)
+                outcomes["refused"] += 1
+                continue
+            fallbacks.clear()
+            assert dsf._energy_at(family, q, n).hex() == expected.hex()
+            outcomes["fallback" if fallbacks else "direct"] += 1
+        assert min(outcomes.values()) > 200, outcomes
 
     @pytest.mark.parametrize("family,q,n,m,message", [
         ("A", 1.1, 4, 4, "degeneracy requires two distinct levels"),
