@@ -382,6 +382,8 @@ def _in_range(name: str, args: tuple, formula: Callable[[], float | complex]) ->
 _EXPONENTS = {"A": (1, 1), "B": (-2, -2), "C": (-2, 1), "D": (1, -2)}
 # (a, b) of the closed-form phi's leading power x**(a n + b), per base letter
 _PHI_AB = {letter: (1 - ef - ek, ef - 1) for letter, (ef, ek) in _EXPONENTS.items()}
+# (e, d) of _phi_value's powers x**(e n + d) in argument order, read by fock's tables alone
+_PHI_POWERS = {letter: (ab, (1, 0), (-1, 1), (2, -2), (2, 0)) for letter, ab in _PHI_AB.items()}
 
 _MIN_NORMAL = 2.0**-1022  # smallest normal double; phi_closed rejects smaller phi(n >= 1)
 

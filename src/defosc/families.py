@@ -9,6 +9,7 @@ the deformation base (q for A-D, Q = q/p for At-Dt) divided by sqrt(2).
 from __future__ import annotations
 
 import math
+from numbers import Real
 from typing import Callable
 
 from .dsf import (
@@ -72,9 +73,7 @@ def coefficients(family: FamilyId | str, params: DeformationParams | float) -> C
     params = _as_params(params)
     _check_family_params(family, params, "coefficients")
     x = params.power_base
-    ef, ek = _EXPONENTS[family.tag.letter]
-    return CoefficientSet(f=_power_law(1.0, x, ef), g=_power_law(family.c0, x, ek + 1),
-                          h=_power_law(family.d0, x, ef + 1), k=_power_law(1.0, x, ek))
+    return CoefficientSet(*[_power_law(c, x, *w) for c, w in _coefficient_terms(family)])
 
 
 def gh_pair(family: FamilyId | str, params: DeformationParams | float) -> GHPair:
@@ -86,42 +85,64 @@ def gh_pair(family: FamilyId | str, params: DeformationParams | float) -> GHPair
         G(N) = q x**(s N - e_f) (1 + cd x**(2N-2)) / 2,
         H(N) = pref x**(s N + e_k) (1 + cd x**(2N+2)) / 2,
 
-    where x is q or Q = q/p and pref is 1 or p.
+    where x is q or Q = q/p and pref is 1 or p, from _operator_terms as fock's tables.
     """
     family = FamilyId.parse(family)
     params = _as_params(params)
     _check_family_params(family, params, "gh_pair")
     x = params.power_base
-    pref = params.p if family.two_parameter else 1.0
+    H, G = [_operator(x, term) for term in _operator_terms(family, params)]
+    return GHPair(G=G, H=H)
+
+
+def _coefficient_terms(family: FamilyId) -> tuple[tuple[float, tuple[int, int]], ...]:
+    """(c, w) of f, g, h and k for _law_value, the power w = x**(e n + d) as (e, d)."""
     ef, ek = _EXPONENTS[family.tag.letter]
-    s, cd = ef + ek, family.c0 * family.d0
-    return GHPair(G=_operator(params.q, x, s, -ef, cd, -2), H=_operator(pref, x, s, ek, cd, 2))
+    return (1.0, (ef, 0)), (family.c0, (ek + 1, 0)), (family.d0, (ef + 1, 0)), (1.0, (ek, 0))
 
 
-def _power_law(c: float, x: float, e: int) -> Callable[[int], float]:
-    """n -> c x**(e n)/sqrt(2): f, g, h or k of a built-in family."""
-    return lambda n: c * x ** (e * n) / _SQRT2
+def _operator_terms(family: FamilyId, params: DeformationParams) -> tuple[tuple, tuple]:
+    """(c, lead, cd, y) of H, then G, for _operator_value, each power as (e, d) likewise."""
+    (ef, ek), cd = _EXPONENTS[family.tag.letter], family.c0 * family.d0
+    return (params.p or 1.0, (ef + ek, ek), cd, (2, 2)), (params.q, (ef + ek, -ef), cd, (2, -2))
 
 
-def _operator(c: float, x: float, s: int, a: int, cd: float, b: int) -> Callable[[int], float]:
-    """n -> c x**(s n + a) (1 + cd x**(2n + b)) / 2: G or H of a built-in family.
+def _power_law(c: float, x: float, e: int, d: int) -> Callable[[int], float]:
+    """n -> c x**(e n + d)/sqrt(2): f, g, h or k of a built-in family."""
+    return lambda n: _law_value(c, x ** (e * n + d))
 
-    Where the lead power x**(s n + a) is not a normal double but y = x**(2n + b) >= 1
+
+def _law_value(c, w):
+    """c w/sqrt(2) at w = x**(e n + d): a float w for _power_law, a numpy array for fock."""
+    return c * w / _SQRT2
+
+
+def _operator(x: float, term: tuple) -> Callable[[int], float]:
+    """n -> c x**(s n + a) (1 + cd x**(t n + b)) / 2 for the term (c, (s, a), cd, (t, b)).
+
+    Where the lead power x**(s n + a) is not a normal double but y = x**(t n + b) >= 1
     dominates the bracket, y is folded into it, 1 + cd y = y (cd + 1/y), so a
     value in range does not underflow on the way (B and Bt at a base above 1).
     The same fold serves where y alone overflows (C and D at a base above 1), if cd is
     a normal double: then cd + 1/y stays accurate though 1/y is subnormal.
     """
+    c, (s, a), cd, (t, b) = term
+
     def operator(n: int) -> float:
         lead = x ** (s * n + a)
-        if lead >= _MIN_NORMAL or (x < 1.0) == (2 * n + b > 0):  # the latter: y <= 1
+        if lead >= _MIN_NORMAL or (x < 1.0) == (t * n + b > 0):  # the latter: y <= 1
             try:
-                return 0.5 * c * lead * (1.0 + cd * x ** (2 * n + b))
+                return _operator_value(c, lead, cd, x ** (t * n + b))
             except OverflowError:  # y overflows, lead did not: the value may be in range
                 if not abs(cd) >= _MIN_NORMAL:
                     raise
-        return 0.5 * c * x ** ((s + 2) * n + a + b) * (cd + x ** -(2 * n + b))
+        return 0.5 * c * x ** ((s + t) * n + a + b) * (cd + x ** -(t * n + b))
     return operator
+
+
+def _operator_value(c, lead, cd, y):
+    """_operator's unfolded value at lead = x**(s n + a) and y = x**(t n + b), as _law_value."""
+    return 0.5 * c * lead * (1.0 + cd * y)
 
 
 def general_gh(
@@ -182,7 +203,7 @@ def verify_ratio_recursions(
     DomainError naming the level where a coefficient or ratio leaves the
     double-precision range.
     """
-    if n_max < 2:
+    if isinstance(n_max, Real) and n_max < 2:
         raise DomainError(f"n_max must be >= 2, got {_show(n_max)}")
     _check_level(n_max, "n_max")  # after the bound, so a small int keeps that message
     params = _as_params(params)

@@ -6,16 +6,19 @@ ladder amplitudes sqrt(phi(1..D-1)) and the sub- and super-diagonals of X
 and P.  The dense D x D matrices are read-only properties built on request
 in O(D^2); no library code reads them.
 
-Tables: every family is a power law in one base x, so build_rep forms the
-closed-form phi(0..D) and f, g, h, k, and verify_gh_relation forms G and H,
-from one vector of x**m per call, int or float x, with numpy's real arithmetic
-in the scalar functions' operation order, so the values are theirs bit for bit.
-Where a lead power is not a normal double or a value is not finite, that level
-comes from the scalar function itself (dsf._phi_at, the coefficients and
-gh_pair closures), which also names the first level that leaves the double
-range.  Only a ``phi=`` override and a ``gh`` pair are read level by level.
-When build_rep evaluates phi itself, the rep keeps it and verify_ladder reuses
-it; a rep built with a ``phi=`` override, built by hand or copied with
+Tables: every family is a power law in one base x, and `dsf` and `families`
+state each law once: the (e, d) of its powers x**(e n + d) in dsf._PHI_POWERS,
+families._coefficient_terms and _operator_terms, and its value line on + - * /
+in dsf._phi_value, families._law_value and _operator_value, which the scalar
+functions call too.  build_rep and verify_gh_relation slice those powers from
+one vector of x**m per call, int or float x, and apply the value lines, so
+each value is the scalar function's bit for bit.  A level whose lead
+power is not a normal double or whose value is not finite comes from the
+scalar function itself (dsf._phi_at, the coefficients and gh_pair closures),
+which also names the first level that leaves the double range.  Only a
+``phi=`` override and a ``gh`` pair are read level by level.  When build_rep
+evaluates phi itself, the rep keeps it and verify_ladder reuses it; a rep
+built with a ``phi=`` override, built by hand or copied with
 ``dataclasses.replace`` has none, and verify_ladder recomputes it with dsf's
 one validated table.  build_rep reads each coefficient only at the levels the
 bands use: f and h at 0..D-2, g and k at 1..D-1.
@@ -51,12 +54,12 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from . import families
 from .dsf import (
-    _EXPONENTS, _MIN_NORMAL, _PHI_AB, DeformationParams, FamilyId, _as_params,
-    _check_family_params, _check_level, _check_tol, _levels, _phi_at, _phi_table, _phi_value, _show,
+    _MIN_NORMAL, _PHI_POWERS, DeformationParams, FamilyId, _as_params, _check_family_params,
+    _check_level, _check_tol, _levels, _phi_at, _phi_table, _phi_value, _show,
 )
 from .errors import DomainError
-from .families import _SQRT2, GHPair, coefficients, gh_pair
 
 __all__ = ["HBAR", "MAX_DIM", "FockRep", "ResidualReport", "build_rep",
            "verify_heisenberg", "verify_gh_relation", "verify_ladder"]
@@ -155,9 +158,9 @@ def build_rep(
         Optional structure-function override (used e.g. to inject a
         perturbation); defaults to the family's closed form.
 
-    phi(0..D) and f, g, h, k come from one power vector (see the module
-    docstring).  Raises DomainError naming the level where phi is negative, or
-    where phi, a coefficient f, g, h, k or a band entry such as
+    phi(0..D) and f, g, h, k are dsf's and families' laws on one power vector
+    (see the module docstring).  Raises DomainError naming the level where phi
+    is negative, or where phi, a coefficient f, g, h, k or a band entry such as
     x_sub[n] = g(n+1) sqrt(phi(n+1)) leaves the double-precision range.
     """
     family = FamilyId.parse(family)
@@ -173,37 +176,33 @@ def build_rep(
         if negative.size:
             n = int(negative[0])
             raise DomainError(f"phi({n}) = {float(phi_vals[n])!r} < 0: ladder amplitudes undefined")
-    cs = coefficients(family, params)
+    cs = families.coefficients(family, params)
     # X = f(N) a- + g(N) a+ and P = i (k(N) a+ - h(N) a-), row by row: the
     # super-diagonals read f and h at 0..D-2, the sub-diagonals g and k at 1..D-1
     lower, upper, table = range(dim - 1), range(1, dim), range(1, dim + 1)
-    laws = ((cs.f, "f", lower, 1.0), (cs.g, "g", upper, family.c0),
-            (cs.h, "h", lower, family.d0), (cs.k, "k", upper, 1.0))
+    laws = list(zip(families._coefficient_terms(family), (cs.f, cs.g, cs.h, cs.k), "fghk",
+                    (lower, upper, lower, upper)))
     x, letter, p = params.power_base, family.tag.letter, params.p or 1.0
-    ef, ek = _EXPONENTS[letter]
-    # f, g, h, k as families._power_law forms them, then, without an override, the
-    # powers x**(2n-2), x**(2n), x**n, x**(1-n) and x**(a n + b), n >= 1, of dsf._phi_value
-    progressions = [(ef, 0, lower), (ek + 1, 0, upper), (ef + 1, 0, lower), (ek, 0, upper)]
+    # the powers of f, g, h, k, then, without an override, the five of phi(1..D)
+    progressions = [(*w, levels) for (_, w), _, _, levels in laws]
     if phi is None:
-        progressions += [(2, -2, table), (2, 0, table), (1, 0, table), (-1, 1, table),
-                         (*_PHI_AB[letter], table)]
+        progressions += [(*w, table) for w in _PHI_POWERS[letter]]
     powers = _power_slices(x, progressions)
     # an overflowed power is inf and its level falls back; an overflowed band entry is refused
     with np.errstate(all="ignore"):
         if phi is None:  # phi(0) = 0; _phi_power_base rescales a value below the normal range
-            d1, d2, xn, x1n, lead = powers[4:]
-            value = _phi_value(x, float(p), lead, xn, x1n, d1, d2)
-            phi_vals = np.concatenate(([0.0], _settled(value, np.minimum(lead, value),
+            value = _phi_value(x, float(p), *powers[4:])  # powers[4] is the lead power
+            phi_vals = np.concatenate(([0.0], _settled(value, np.minimum(powers[4], value),
                                                        lambda n: _phi_at(letter, x, n, p),
                                                        "phi", table)))
-        f, g, h, k = [_settled(c * w / _SQRT2, w, fn, name, levels)
-                      for w, (fn, name, levels, c) in zip(powers, laws)]
+        f, g, h, k = [_settled(families._law_value(c, w), w, fn, name, levels)
+                      for w, ((c, _), fn, name, levels) in zip(powers, laws)]
         roots = np.sqrt(phi_vals[1:dim])  # sqrt(phi(1)) .. sqrt(phi(D-1))
         x_sup, x_sub, p_sup, p_sub = bands = np.array((f, g, h, k)) * roots
         # one sum tests every entry; only if it is not finite are they walked (it may overflow)
         if not math.isfinite(np.add.reduce(bands, axis=None)) and not np.isfinite(bands).all():
             row, i = np.argwhere(~np.isfinite(bands))[0].tolist()  # the first band, then entry
-            (_, law, levels, _), band = laws[row], ("x_sup", "x_sub", "p_sup", "p_sub")[row]
+            (_, _, law, levels), band = laws[row], ("x_sup", "x_sub", "p_sup", "p_sub")[row]
             raise DomainError(f"{band}[{i}] = {law}({levels[i]}) sqrt(phi({i + 1})) "
                               "leaves the double-precision range")
     rep = FockRep(family=family, params=params, dim=dim, ladder=roots,
@@ -297,25 +296,25 @@ def verify_heisenberg(rep: FockRep, tol: float = 1e-10) -> ResidualReport:
     return ResidualReport("heisenberg", residual, boundary, tol)
 
 
-def verify_gh_relation(rep: FockRep, gh: GHPair | None = None, tol: float = 1e-10) -> ResidualReport:
+def verify_gh_relation(rep: FockRep, gh: families.GHPair | None = None,
+                       tol: float = 1e-10) -> ResidualReport:
     """Scaled residual of H(N) a- a+ - G(N) a+ a- - 1 on the trusted block.
 
-    Without `gh`, G and H are the family's, formed from one power vector (see
-    the module docstring); a `gh` pair is read level by level.  Raises
-    DomainError naming the level where G or H leaves the double-precision range.
+    Without `gh`, G and H are the family's laws from `families` on one power
+    vector (see the module docstring); a `gh` pair is read level by level.
+    Raises DomainError naming the level where G or H leaves the double range.
     """
     _check_tol(tol)
     levels = range(rep.dim)
     if gh is None:
         family, params = rep.family, rep.params
-        gh, (ef, ek) = gh_pair(family, params), _EXPONENTS[family.tag.letter]
-        cd, pref = family.c0 * family.d0, params.p if family.two_parameter else 1.0
-        h_lead, h_y, g_lead, g_y = _power_slices(params.power_base, [
-            (ef + ek, ek, levels), (2, 2, levels), (ef + ek, -ef, levels), (2, -2, levels)])
-        with np.errstate(all="ignore"):  # families._operator's unfolded form; its fold falls back
-            H, G = [_settled(0.5 * c * lead * (1.0 + cd * y), lead, fn, name, levels)
-                    for c, lead, y, fn, name in ((pref, h_lead, h_y, gh.H, "H"),
-                                                 (params.q, g_lead, g_y, gh.G, "G"))]
+        gh, terms = families.gh_pair(family, params), families._operator_terms(family, params)
+        powers = _power_slices(params.power_base,
+                               [(*w, levels) for _, lead, _, y in terms for w in (lead, y)])
+        with np.errstate(all="ignore"):  # _operator's fold is not vectorised: its levels fall back
+            H, G = [_settled(families._operator_value(c, lead, cd, y), lead, fn, name, levels)
+                    for (c, _, cd, _), lead, y, fn, name
+                    in zip(terms, powers[::2], powers[1::2], (gh.H, gh.G), "HG")]
     else:
         H = np.array(_levels(gh.H, "H", levels), dtype=float)
         G = np.array(_levels(gh.G, "G", levels), dtype=float)

@@ -160,7 +160,10 @@ def find_degeneracy(
         Number of scan points per segment, an integer >= 2.
     """
     family = FamilyId.parse(family)
-    q_lo, q_hi = search
+    try:
+        q_lo, q_hi = search
+    except (TypeError, ValueError):  # not iterable, or not two items
+        raise DomainError(f"search must be a pair (q_lo, q_hi), got {_show(search)}") from None
     if not (isinstance(q_lo, Real) and isinstance(q_hi, Real)):
         raise DomainError(f"search endpoints must be real, got {_show(search)}")
     if not (0 < q_lo < q_hi):
@@ -170,7 +173,7 @@ def find_degeneracy(
     if q_hi > _MAX_FLOAT:  # inf, or an int beyond the double range
         raise DomainError(f"search endpoints must be finite, got {_show(search)}")
     _check_tol(tol)
-    if grid < 2:
+    if isinstance(grid, Real) and grid < 2:
         raise DomainError(f"grid must have at least 2 points, got {_show(grid)}")
     _check_level(grid, "grid")  # after the bound, so a small int keeps that message
     _check_level(n)

@@ -392,6 +392,10 @@ class TestRatioRecursions:
     @pytest.mark.parametrize("n_max,message", [
         (2.5, "n_max must be an integer, got 2.5"),
         (-1, "n_max must be >= 2, got -1"),
+        (1, "n_max must be >= 2, got 1"),
+        # not numbers: `n_max < 2` raised a raw TypeError before the integer check
+        ("5", "n_max must be an integer, got '5'"),
+        (None, "n_max must be an integer, got None"),
     ])
     def test_bad_n_max_is_domain_error(self, n_max, message):
         with pytest.raises(DomainError, match=rf"^{message}$"):

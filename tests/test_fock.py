@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import math
 import re
@@ -26,7 +27,7 @@ from defosc import (
     verify_heisenberg,
     verify_ladder,
 )
-from defosc import dsf, fock
+from defosc import dsf, families, fock
 from defosc.dsf import _levels, _phi_table
 from defosc.fock import (
     HBAR, MAX_DIM, FockRep, _number_products, _split_residual, _tridiagonal_product,
@@ -937,3 +938,74 @@ class TestVectorTables:
             DomainError, "f(512) leaves the double-precision range")
         assert _rep_outcome(_per_level_build_rep, "C", 0.5, 530) == _rep_outcome(
             build_rep, "C", 0.5, 530)
+
+
+# a change to the (c, w) of f, g, h, k and the (c, lead, cd, y) of G, H, each power
+# w, lead, y as (e, d) of x**(e n + d), and the factor it puts on those values (None: none)
+LAW_PATCHES = {
+    "c doubled": (lambda c, w: (2 * c, w), lambda c, lead, cd, y: (2 * c, lead, cd, y),
+                  lambda x: 2),
+    "offsets raised": (lambda c, w: (c, (w[0], w[1] + 1)),
+                       lambda c, lead, cd, y: (c, (lead[0], lead[1] + 1), cd, y), lambda x: x),
+    "y stride lowered": (lambda c, w: (c, w), lambda c, lead, cd, y: (c, lead, cd, (y[0] - 1, y[1])),
+                         None),
+}
+
+
+class TestLawTerms:
+    """fock states no law of its own: its tables follow the term tables of `families`."""
+
+    @pytest.mark.parametrize("law_patch", LAW_PATCHES)
+    @pytest.mark.parametrize("family,params,dim,phi", [
+        ("A", DeformationParams(q=1.1), 30, None),
+        ("D", DeformationParams(q=0.9), 300, None),
+        ("C", DeformationParams(q=2.0), 512, None),  # H folds at level 511
+        ("Bt", DeformationParams(q=1.1, p=0.9), 1000, None),  # G and H fall back
+        ("At", DeformationParams(q=2, p=3), 30, None),  # an int base
+        (FamilyId(FamilyTag.C, -1.5, 3.0), DeformationParams(q=1.1), 30,
+         lambda n: phi_closed("C", 1.1, n)),  # general constants: G and H read c0 d0
+    ])
+    def test_tables_follow_patched_terms(self, family, params, dim, phi, law_patch,
+                                         monkeypatch):
+        terms = families._coefficient_terms, families._operator_terms
+        coefficient_patch, operator_patch, factor = LAW_PATCHES[law_patch]
+        family = FamilyId.parse(family)
+        unpatched = {stage: np.array(_scalar_table(family, params, stage, range(1, dim - 1)))
+                     for stage in "fghkGH"}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(families, "_coefficient_terms",
+                          lambda *args: [coefficient_patch(*law) for law in terms[0](*args)])
+            patch.setattr(families, "_operator_terms",
+                          lambda *args: [operator_patch(*law) for law in terms[1](*args)])
+            expected = _rep_outcome(_per_level_build_rep, family, params, dim, phi=phi)
+            assert _rep_outcome(build_rep, family, params, dim, phi=phi) == expected
+            rep = build_rep(family, params, dim, phi=phi)
+            assert _gh_outcome(rep) == _gh_outcome(rep, per_level=True)
+            tables = _recorded_tables(monkeypatch, lambda: verify_gh_relation(
+                build_rep(family, params, dim, phi=phi)))
+            assert {stage for stage, *_ in tables} == {*"fghkGH", *["phi"] * (phi is None)}
+            for stage, levels, table, _ in tables:
+                assert table.tobytes() == np.array(
+                    _scalar_table(family, params, stage, levels)).tobytes(), stage
+                if stage == "phi":
+                    continue
+                # the patch reached the table: each value scaled by its factor, or G, H moved
+                patched = table[[levels.index(n) for n in range(1, dim - 1)]]
+                if factor is None:
+                    assert (stage in "GH") != np.array_equal(patched, unpatched[stage]), stage
+                else:  # 0.5 c lead may be subnormal where G or H is not: scaling it rounds
+                    assert np.allclose(patched, factor(params.power_base) * unpatched[stage],
+                                       rtol=1e-3, atol=0), stage
+
+    def test_fock_names_no_law_constant(self):
+        with open(fock.__file__, encoding="utf-8") as source:
+            tree = ast.parse(source.read())
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+        assert not names & {"_EXPONENTS", "_PHI_AB", "_SQRT2", "c0", "d0"}

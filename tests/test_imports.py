@@ -88,6 +88,18 @@ def test_symmetrized_forms_do_not_load_numpy(call):
     assert out == "False\n"
 
 
+@pytest.mark.parametrize("call", [
+    'defosc.coefficients("Bt", defosc.DeformationParams(q=1.1, p=0.9)).f(5)',
+    'defosc.gh_pair("C", 1.1).H(5)',
+    'gh = defosc.gh_pair("A", 1.1); defosc.phi_from_gh(gh.G, gh.H, 5)',
+    'defosc.verify_ratio_recursions(defosc.coefficients("A", 1.1), 1.1, 30)',
+])
+def test_family_laws_do_not_load_numpy(call):
+    # `families` holds the value functions that fock applies to numpy arrays
+    out = fresh(f"import sys, defosc; {call}; print('numpy' in sys.modules)").stdout
+    assert out == "False\n"
+
+
 def test_submodule_attribute_loads_on_access():
     out = fresh("import defosc; print(defosc.fock.build_rep is defosc.build_rep)").stdout
     assert out == "True\n"

@@ -308,6 +308,11 @@ class TestFindDegeneracy:
         ({"n": True}, "level must be an integer, got True"),
         ({"grid": 2.5}, "grid must be an integer, got 2.5"),
         ({"grid": 1}, "grid must have at least 2 points, got 1"),
+        # not numbers, or not a pair: `grid < 2` and the unpacking raised raw errors
+        ({"grid": "5"}, "grid must be an integer, got '5'"),
+        ({"grid": None}, "grid must be an integer, got None"),
+        ({"search": (1.01, 1.5, 2)}, r"search must be a pair \(q_lo, q_hi\), got \(1.01, 1.5, 2\)"),
+        ({"search": None}, r"search must be a pair \(q_lo, q_hi\), got None"),
         ({"search": (1.001, math.inf)}, r"search endpoints must be finite, got \(1.001, inf\)"),
         # an int beyond the double range: the scan raised a raw OverflowError
         ({"search": (1.001, 10**400)}, r"search endpoints must be finite, got \(1.001, an int of 401 digits\)"),
