@@ -323,7 +323,7 @@ def _check_tol(tol: float) -> None:
 
 def bracket_q(n: int, q: float) -> float:
     """q-bracket [n]_q = (1 - q**n)/(1 - q), with the q = 1 limit n taken exactly."""
-    _check_level(n)
+    n = _check_level(n)
     q = _plain(q)
     _require_positive(q, "q", "bracket_q")
     if q == 1:
@@ -334,7 +334,7 @@ def bracket_q(n: int, q: float) -> float:
 
 def bracket_pq(x: int, q: float, p: float) -> float:
     """(p,q)-bracket [x]_{q,p} = (p**x - q**x)/(p - q); at p = q the limit x*q**(x-1)."""
-    _check_level(x)
+    x = _check_level(x)
     q, p = _plain(q), _plain(p)
     _require_positive(q, "q", "bracket_pq")
     _require_positive(p, "p", "bracket_pq")
@@ -350,7 +350,7 @@ def bracket_sym(x: int, q: float | complex) -> float | complex:
     At q = +-1 the removable singularity is replaced by the limit x*q**(x-1).
     Real for real q and on the unit circle, where it equals sin(x*theta)/sin(theta).
     """
-    _check_level(x)
+    x = _check_level(x)
     q = _plain(q)
     if not isinstance(q, Complex):  # a str, None or a Decimal has no .real to test
         raise DomainError(f"bracket_sym requires real or complex q, got {_show(q)}")
@@ -459,9 +459,19 @@ def phi_closed(family: FamilyId | str, params: DeformationParams | float, n: int
     Raises DomainError naming n when phi(n) leaves the double-precision range:
     it overflows, or phi(n >= 1) falls below the smallest normal double.
     """
+    # the common call in one test, with no frame: a printed family, DeformationParams of finite
+    # positive floats (q/p too) and an int level in range; any other call takes the four checks
+    fid = family if type(family) is FamilyId else type(family) is str and _PRINTED_SPELLINGS.get(family)
+    if fid and type(params) is DeformationParams and type(n) is int and 0 <= n <= _MAX_LEVEL \
+            and fid.c0 == fid.d0 == 1.0 and type(q := params.q) is float and 0 < q < _INF:
+        p, tag = params.p, fid.tag
+        if p is None and not tag.two_parameter:
+            return _phi_at(tag.letter, q, n)
+        if tag.two_parameter and type(p) is float and 0 < p < _INF and 0 < q / p < _INF:
+            return _phi_at(tag.letter, q / p, n, p)
     family = FamilyId.parse(family)
     params = _as_params(params)
-    _check_level(n)
+    n = _check_level(n)
     _check_family_params(family, params, "phi_closed", printed=True)
     return _phi_at(family.tag.letter, params.power_base, n, params.p or 1.0)
 
@@ -608,7 +618,7 @@ def symmetrized_routes(base: FamilyId | str, q, n: int) -> tuple[complex, comple
     two expressions are algebraically equal; evaluating both is the internal
     consistency check used by :func:`phi_symmetrized`.
     """
-    _check_level(n)
+    n = _check_level(n)
     base = FamilyId.parse(base)
     if base.two_parameter:
         raise DomainError("unit-circle symmetrization applies to one-parameter families")
@@ -665,7 +675,7 @@ def phi_symmetrized_qp(base: FamilyId | str, q, p, n: int):
     base = FamilyId.parse(base)
     if not base.two_parameter:
         raise DomainError("phi_symmetrized_qp applies to two-parameter families")
-    _check_level(n)
+    n = _check_level(n)
     q, p = _plain(q), _plain(p)
     if isinstance(q, complex) and q.imag != 0 or isinstance(p, complex) and p.imag != 0:
         _require_nonzero(q, "q", "phi_symmetrized_qp")

@@ -94,9 +94,10 @@ def degeneracy_equation(family: FamilyId | str, q: float, n: int, m: int) -> flo
     if n == m:
         raise DomainError("degeneracy requires two distinct levels")
     family = FamilyId.parse(family)
-    _check_level(n)
+    n = _check_level(n)
     # a finite positive float q of a printed one-parameter family passes every
-    # check; anything else takes phi_closed's checks in full
+    # check; anything else takes phi_closed's checks in full (this test is the
+    # one-parameter twin of phi_closed's accept test, for a bare q)
     if not (type(q) is float and 0 < q < _INF) or family.two_parameter \
             or (family.c0, family.d0) != (1.0, 1.0):
         params = DeformationParams(q=q)
@@ -104,7 +105,7 @@ def degeneracy_equation(family: FamilyId | str, q: float, n: int, m: int) -> flo
         q = params.q  # a numpy float as the float it holds
     letter = family.tag.letter
     e_n = _energy_at(letter, q, n)
-    _check_level(m)
+    m = _check_level(m)
     return e_n - _energy_at(letter, q, m)
 
 

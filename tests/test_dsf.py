@@ -5,6 +5,7 @@ import random
 import re
 import sys
 import time
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -409,6 +410,49 @@ class TestNumpyScalarParameters:
             phi_symmetrized("A", UNIT_COMPLEX64, 3)
 
 
+# each public function that takes a level, as (family, q, n) -> value
+LEVEL_CALLS = {
+    "phi_closed": lambda family, q, n: phi_closed(family, q, n),
+    "energy": lambda family, q, n: energy(family, q, n),
+    "degeneracy_equation n": lambda family, q, n: degeneracy_equation(family, q, n, 0),
+    "degeneracy_equation m": lambda family, q, n: degeneracy_equation(family, q, 1, n),
+    "bracket_q": lambda family, q, n: bracket_q(n, q),
+    "bracket_pq": lambda family, q, n: bracket_pq(n, q, 0.9),
+    "bracket_pq at p = q": lambda family, q, n: bracket_pq(n, q, q),
+    "bracket_sym": lambda family, q, n: bracket_sym(n, q),
+    "phi_symmetrized": lambda family, q, n: phi_symmetrized(family, q, n),
+    "symmetrized_routes": lambda family, q, n: symmetrized_routes(family, q, n),
+    "phi_symmetrized_qp": lambda family, q, n: phi_symmetrized_qp(family + "t", q, 0.9, n),
+}
+
+
+class TestNumpyIntegerLevels:
+    """A numpy integer level counts as the int it holds: the kernels see the int, so numpy
+    does no power, and values, types and refusals are those of the int call."""
+
+    @pytest.mark.parametrize("scalar", [np.int64, np.int32])
+    @pytest.mark.parametrize("name", LEVEL_CALLS)
+    def test_same_bits_and_type_as_the_int(self, name, scalar):
+        call = LEVEL_CALLS[name]
+        for family in ONE_PARAM:
+            for q in (0.5, 0.9, 1.015, 1.5):
+                for n in range(0, 120, 9):
+                    assert _numpy_outcome(lambda: call(family, q, scalar(n))) == \
+                        _numpy_outcome(lambda: call(family, q, n)), (family, q, n)
+
+    @pytest.mark.parametrize("name", LEVEL_CALLS)
+    def test_an_out_of_range_level_is_the_int_calls_refusal_without_warnings(self, name):
+        # a numpy level that reached the kernels' powers made numpy warn "overflow encountered
+        # in power" before the range refusal, and the refusal printed np.int64(5000)
+        call = LEVEL_CALLS[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcome = _numpy_outcome(lambda: call("A", 1.2, np.int64(5000)))
+            assert outcome == _numpy_outcome(lambda: call("A", 1.2, 5000))
+        assert outcome[:2] == ("raises", DomainError) and "5000" in outcome[2]
+        assert "np.int64" not in outcome[2]
+
+
 def _verified(rep):
     return verify_heisenberg(rep), verify_gh_relation(rep), verify_ladder(rep)
 
@@ -551,6 +595,77 @@ class TestPhiClosed:
         exact = (2 * x ** (a * n + b) * (1 - x**n) / (1 - x) * (1 + x ** (1 - n))
                  / ((1 + x ** (2 * n - 2)) * (1 + x ** (2 * n))))
         assert rel_err(phi_closed(family, float(x), n), float(exact)) <= 1e-13
+
+
+def _checked_phi(family, params, n):
+    """phi_closed without its accept test: the four checks in order, then the kernel."""
+    family = FamilyId.parse(family)
+    params = dsf._as_params(params)
+    n = dsf._check_level(n)
+    dsf._check_family_params(family, params, "phi_closed", printed=True)
+    return dsf._phi_at(family.tag.letter, params.power_base, n, params.p or 1.0)
+
+
+class _SubId(FamilyId):
+    pass
+
+
+class _SubParams(DeformationParams):
+    """A stricter subclass: the accept test must not take it for a DeformationParams."""
+
+    def require_real_positive(self, context="this operation"):
+        raise DomainError(f"{context} refuses {type(self).__name__}")
+
+
+ACCEPT_FAMILIES = (
+    "A", "bt", "C~", "D\u0303", " a ", "E", None, 3, FamilyTag.B, FamilyId(FamilyTag.AT),
+    FamilyId(FamilyTag.D), _SubId(FamilyTag.A), _SubId(FamilyTag.CT),
+    FamilyId(FamilyTag.A, c0=2.0), FamilyId(FamilyTag.BT, d0=0.5),
+)
+ACCEPT_QS = (1.1, 0.5, 1.0, 3, np.float64(0.9), np.float32(1.1), True, Fraction(11, 10),
+             Decimal("1.1"), 1.1 + 0j, math.nan, math.inf, -1.0, 0.0, 5e-324, 1e308)
+ACCEPT_PS = (None, 0.9, 1e-300, 1e300, math.inf, math.nan, -0.9, 3, np.float64(0.9), 0.9 + 0j)
+ACCEPT_PARAMS = tuple(DeformationParams(q, p) for q in ACCEPT_QS for p in ACCEPT_PS) + (
+    1.1, 3, np.float64(1.1), "1.1", None, _SubParams(1.1), _SubParams(1.1, 0.9),
+)
+ACCEPT_LEVELS = (0, 1, 60, 3000, -1, True, 3.0, "5", np.int64(7), np.int32(-1),
+                 dsf._MAX_LEVEL, dsf._MAX_LEVEL + 1)
+
+
+class TestPhiClosedAcceptTest:
+    """phi_closed accepts the common call in one inline test and refers every other call
+    to its four checks, so each outcome, value or refusal, is that of the checks."""
+
+    def test_every_outcome_is_that_of_the_checks(self):
+        # a FamilyId subclass, c0 or d0 != 1, numpy, int, bool and complex q or p, a bool
+        # level, arity mismatches and a Q = q/p beyond the double range (1e308/1e-300, and
+        # 5e-324/1e300 at 0.0) all take the checks
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for family in ACCEPT_FAMILIES:
+                for params in ACCEPT_PARAMS:
+                    for n in ACCEPT_LEVELS:
+                        assert _numpy_outcome(lambda: phi_closed(family, params, n)) == \
+                            _numpy_outcome(lambda: _checked_phi(family, params, n)), \
+                            (family, params, n)
+
+    def test_the_common_call_runs_no_check(self, monkeypatch):
+        two, bt = DeformationParams(q=1.1, p=0.9), FamilyId(FamilyTag.BT)
+        expected = phi_closed("Bt", two, 5).hex()
+
+        class CheckRan(Exception):
+            pass
+
+        def check(*args, **kwargs):
+            raise CheckRan
+
+        for name in ("_as_params", "_check_level", "_check_family_params"):
+            monkeypatch.setattr(dsf, name, check)
+        monkeypatch.setattr(FamilyId, "parse", check)
+        assert phi_closed("Bt", two, 5).hex() == phi_closed(bt, two, 5).hex() == expected
+        for params in (3, DeformationParams(q=3)):  # an int q
+            with pytest.raises(CheckRan):
+                phi_closed("A", params, 5)
 
 
 class TestPhiFromGH:
