@@ -192,12 +192,17 @@ class FamilyId(_Record):
 
 def _real_constant(value: object, name: str) -> float:
     """A finite real c0 or d0 as the float it holds, else DomainError."""
-    try:  # float() of an int or a Fraction beyond the double range raises OverflowError
-        if isinstance(value, Real) and math.isfinite(constant := float(value)):
-            return constant
-    except OverflowError:
-        pass
+    if type(constant := _real_float(value)) is float and math.isfinite(constant):
+        return constant
     raise DomainError(f"FamilyId requires finite real {name}, got {_show(value)}")
+
+
+def _real_float(value: object) -> object:
+    """A real value as its float; else, for the caller to refuse, the value as given: a complex, a
+    Decimal, or an int or Fraction beyond the double range (float() rounds int(_MAX_FLOAT) + 1 in)."""
+    if isinstance(value, Real) and not (isinstance(value, Rational) and abs(value) > _MAX_FLOAT):
+        return float(value)
+    return value
 
 
 # tag -> its printed family (c0 = d0 = 1), built once; frozen, so safe to share
@@ -207,16 +212,13 @@ _PRINTED_SPELLINGS = {spelling: _PRINTED[tag] for spelling, tag in _SPELLINGS.it
 
 
 class DeformationParams(_Record):
-    """Deformation parameters: q alone, or q and p with derived Q = q/p."""
+    """Deformation parameters: q alone, or q and p with derived Q = q/p; a real one as its float."""
 
     __slots__ = ("q", "p")
 
     def __init__(self, q: float | complex, p: float | complex | None = None):
-        # a numpy real scalar as the Python float or int it holds: no numpy arithmetic in the kernels
-        # and a Fraction beyond the double range as itself, which require_real_positive refuses
-        q, p = [v if type(v) is float or v is None or isinstance(v, int) or not isinstance(v, Real)
-                or isinstance(v, Rational) and abs(v) > _MAX_FLOAT
-                else (int if isinstance(v, Integral) else float)(v) for v in (q, p)]
+        # a float or None first: isinstance(None, Real) is an ABC check
+        q, p = [v if type(v) is float or v is None else _real_float(v) for v in (q, p)]
         if p is not None and p == 0:
             raise DomainError("p = 0 is not admissible (Q = q/p must be finite)")
         object.__setattr__(self, "q", q)  # not _init's loop: built per call given a bare q
@@ -402,20 +404,15 @@ def _phi_power_base(
     phi(n) = 2 x**(a n + b) [n]_x (1 + x**(1-n)) / ((1 + x**(2n-2)) (1 + x**(2n)) p),
     _phi_value of the powers with (a, b) from _PHI_AB.  Supports complex x (the
     symmetrized forms); raises PoleError when a denominator vanishes on the unit
-    circle and DomainError when phi(n) overflows, at an int x before its exact
-    powers are formed.  At a real base a value that may have lost range on the way
-    is recomputed by _phi_rescaled; a true underflow returns 0.0 or a subnormal,
-    which phi_closed rejects.
+    circle and DomainError when phi(n) overflows.  At a real base a value that may
+    have lost range on the way is recomputed by _phi_rescaled; a true underflow
+    returns 0.0 or a subnormal, which phi_closed rejects.
     """
     if n == 0:
         return 0j if isinstance(x, complex) else 0.0
     if x == 1:
         return n / p
     a, b = _PHI_AB[letter]
-    # an int x >= 2 puts phi(n) between x**(e-1)/4 and 4 x**e (e as in _phi_rescaled),
-    # so past 2**1100 or 2**-1100 it is out of range whatever the exact powers give
-    if type(x) is int and (abs((a - 3) * n + b + 2) - 1) * math.log2(x) > 1100:
-        raise DomainError(f"phi({_show(n)}) leaves the double-precision range at base {_show(x)}")
     real = not isinstance(x, complex)
     try:
         d1, d2 = x ** (2 * n - 2), x ** (2 * n)
@@ -498,10 +495,10 @@ def _phi_at(letter: str, x: float, n: int, p: float = 1.0) -> float:
 
 
 def _energy_at(letter: str, x: float, n: int) -> float:
-    """spectra.energy's E(n) from checked one-parameter arguments: at a float x != 1 and
-    n >= 1 from the nine powers of phi(n) and phi(n+1), each formed once; else, or where
-    a level is not a normal double, through _phi_at, so values and refusals are energy's."""
-    if type(x) is float and x != 1.0 and n:
+    """spectra.energy's E(n) from checked one-parameter arguments: at x != 1 and n >= 1
+    from the nine powers of phi(n) and phi(n+1), each formed once; else, or where a
+    level is not a normal double, through _phi_at, so values and refusals are energy's."""
+    if x != 1.0 and n:
         a, b = _PHI_AB[letter]
         try:
             lead0, lead1 = x ** (a * n + b), x ** (a * (n + 1) + b)
@@ -654,6 +651,7 @@ def phi_symmetrized(base: FamilyId | str, q, n: int) -> float:
     negligible at the same scale; either failure raises DomainError naming n,
     else the real part is returned.
     """
+    n = _check_level(n)  # a numpy level as its int, for the messages below
     avg, fact = symmetrized_routes(base, q, n)
     scale = max(1.0, abs(avg), abs(fact))
     if abs(avg - fact) > _CROSS_CHECK_TOL * scale:

@@ -25,8 +25,6 @@ __all__ = [
     "gh_pair",
     "general_gh",
     "verify_ratio_recursions",
-    "ratio_kernel_constancy",
-    "shift_power",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -54,12 +52,6 @@ class GHPair(_Record):
     def __init__(self, G: Callable[[int], float], H: Callable[[int], float],
                  R: Callable[[int], float] | None = None):
         self._init(G, H, R)
-
-
-def shift_power(family: FamilyId | str) -> int:
-    """Exponent s = 1 + e_f + e_k with G(N) = base**s * H(N-2) for the given family."""
-    ef, ek = _EXPONENTS[FamilyId.parse(family).tag.letter]
-    return 1 + ef + ek
 
 
 def coefficients(family: FamilyId | str, params: DeformationParams | float) -> CoefficientSet:
@@ -162,7 +154,7 @@ def general_gh(
 
     where R(N) = f(N-1) k(N), x is the deformation base and pref is 1 (one
     parameter) or p (two parameters).  No constancy of R at q -> 1 is
-    enforced; use :func:`ratio_kernel_constancy` to inspect it.
+    enforced.
     """
     params = _as_params(params)
     params.require_real_positive("general_gh")
@@ -228,18 +220,3 @@ def verify_ratio_recursions(
     except (OverflowError, ZeroDivisionError):
         pass
     raise DomainError(f"ratio recursions leave the double-precision range at level {n}")
-
-
-def ratio_kernel_constancy(
-    f: Callable[[int], float],
-    k: Callable[[int], float],
-    n_max: int = 20,
-) -> float:
-    """Max |R(n+1) - R(1)| of the ratio kernel R(n) = f(n-1) k(n), n <= n_max.
-
-    Diagnostic only: at q = 1 a consistent general solution needs R constant,
-    but nothing is enforced here.
-    """
-    _check_level(n_max, "n_max")
-    base = f(0) * k(1)
-    return max(abs(f(n) * k(n + 1) - base) for n in range(0, n_max + 1))

@@ -11,8 +11,8 @@ state each law once: the (e, d) of its powers x**(e n + d) in dsf._PHI_POWERS,
 families._coefficient_terms and _operator_terms, and its value line on + - * /
 in dsf._phi_value, families._law_value and _operator_value, which the scalar
 functions call too.  build_rep and verify_gh_relation slice those powers from
-one vector of x**m per call, int or float x, and apply the value lines, so
-each value is the scalar function's bit for bit.  A level whose lead
+one vector of x**m per call and apply the value lines, so each value is the
+scalar function's bit for bit.  A level whose lead
 power is not a normal double or whose value is not finite comes from the
 scalar function itself (dsf._phi_at, the coefficients and gh_pair closures),
 which also names the first level that leaves the double range.  Only a
@@ -215,8 +215,7 @@ def build_rep(
 
 def _power_slices(x: float, progressions: list[tuple[int, int, range]]) -> list[np.ndarray]:
     """x**(e n + d) over each (e, d, levels): strided views of one vector of Python's x**m
-    (np.power's bits differ), m in steps of the gcd of the progressions' strides and offsets.
-    An int x**m, m >= 0, is the exact int rounded once to a float, as the scalar code rounds it."""
+    (np.power's bits differ), m in steps of the gcd of the progressions' strides and offsets."""
     ends = [e * n + d for e, d, levels in progressions for n in (levels[0], levels[-1])]
     lo = min(ends)
     step = math.gcd(*(v for e, d, levels in progressions for v in (e, e * levels[0] + d - lo)))

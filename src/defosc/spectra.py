@@ -102,7 +102,7 @@ def degeneracy_equation(family: FamilyId | str, q: float, n: int, m: int) -> flo
             or (family.c0, family.d0) != (1.0, 1.0):
         params = DeformationParams(q=q)
         _check_family_params(family, params, "phi_closed", printed=True)
-        q = params.q  # a numpy float as the float it holds
+        q = params.q  # a real q as the float it holds
     letter = family.tag.letter
     e_n = _energy_at(letter, q, n)
     m = _check_level(m)

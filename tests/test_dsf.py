@@ -309,16 +309,16 @@ class TestNumpyScalarParameters:
         assert (type(params.q), type(params.p)) == (float, float)
         assert (params.q, params.p) == (float(scalar(1.1)), float(scalar(0.9)))
 
-    def test_integers_and_complex_values_are_kept(self):
-        assert type(DeformationParams(q=2).q) is int
+    def test_integers_become_floats_and_complex_values_are_kept(self):
+        assert type(DeformationParams(q=2).q) is float
         assert type(DeformationParams(q=np.complex128(1j)).q) is np.complex128
         assert DeformationParams(q=1.1, p=None).p is None
 
     @pytest.mark.parametrize("scalar", [np.int64, np.int32])
-    def test_integers_stored_as_the_int_they_hold(self, scalar):
+    def test_integers_stored_as_the_float_they_hold(self, scalar):
         # kept as np.int64, q would meet x ** (negative int) in the kernels: a raw ValueError
         params = DeformationParams(q=scalar(2), p=scalar(3))
-        assert (type(params.q), type(params.p)) == (int, int)
+        assert (type(params.q), type(params.p)) == (float, float)
         assert _numpy_outcome(lambda: phi_closed("A", scalar(2), 3)) == \
             _numpy_outcome(lambda: phi_closed("A", 2, 3))
         for family in ALL_FAMILIES:
@@ -553,11 +553,11 @@ class TestPhiClosed:
         lambda family, n: energy(family, 3, n),
         lambda family, n: degeneracy_equation(family, 3, n, 0),
     ])
-    def test_an_int_q_out_of_range_is_refused_before_its_exact_powers(self, family, call):
-        # 3**(2n) alone would be an int of 9.5 million digits
+    def test_an_int_q_out_of_range_is_refused_as_its_float(self, family, call):
+        # an exact 3**(2n) would be an int of 9.5 million digits
         start = time.perf_counter()
         with pytest.raises(DomainError,
-                           match=r"^phi\(10000000\) leaves the double-precision range at base 3$"):
+                           match=r"^phi\(10000000\) leaves the double-precision range at base 3\.0$"):
             call(family, 10**7)
         assert time.perf_counter() - start < 0.1
 
@@ -663,7 +663,11 @@ class TestPhiClosedAcceptTest:
             monkeypatch.setattr(dsf, name, check)
         monkeypatch.setattr(FamilyId, "parse", check)
         assert phi_closed("Bt", two, 5).hex() == phi_closed(bt, two, 5).hex() == expected
-        for params in (3, DeformationParams(q=3)):  # an int q
+        # an int q is stored as its float, so it takes the inline test too
+        three = phi_closed("A", DeformationParams(q=3.0), 5)
+        assert phi_closed("A", DeformationParams(q=3), 5).hex() == three.hex()
+        # a bare q, and a q that DeformationParams keeps as given
+        for params in (3, DeformationParams(q=10**400), DeformationParams(q=1j)):
             with pytest.raises(CheckRan):
                 phi_closed("A", params, 5)
 
@@ -1071,3 +1075,86 @@ class TestFractionsBeyondTheDoubleRange:
 
     def test_show_keeps_the_repr_of_an_ordinary_fraction(self):
         assert dsf._show(Fraction(3, 2)) == "Fraction(3, 2)"
+
+
+# a real q, p, c0 or d0 that is not a float, paired below with the float it holds
+RULE_QS = (2, 3, True, Fraction(3, 2), Fraction(9, 10), Fraction(1, 10**400), np.int64(2),
+           np.float32(1.1), 0, -1)
+RULE_PS = (2, True, Fraction(5, 4), np.int64(3), np.float32(0.9), 0)
+RULE_CONSTANTS = ((2, True), (Fraction(1, 2), np.int64(3)), (np.float32(0.5), Fraction(7, 4)))
+
+
+def _rule_outcomes(tag, q, p=None, c0=1.0, d0=1.0):
+    """The outcome of every entry that takes (family, params), at a few levels and D = 30."""
+    family = FamilyId(FamilyTag.parse(tag), c0, d0)
+
+    def params():  # in the call, so a refusal of p = 0 is an outcome too
+        return DeformationParams(q, p)
+
+    def rep_bits():
+        rep = build_rep(family, params(), 30)
+        bands = (rep.ladder, rep.x_sub, rep.x_sup, rep.p_sub, rep.p_sup)
+        return [band.tobytes() for band in bands], _verified(rep)
+
+    levels = (0, 1, 7, 300)
+    calls = [lambda n=n: phi_closed(family, params(), n) for n in levels]
+    calls += [lambda n=n: energy(family, params(), n) for n in levels]
+    calls += [lambda n=n: getattr(coefficients(family, params()), fn)(n)
+              for fn in "fghk" for n in (-1, *levels)]
+    calls += [lambda n=n: getattr(gh_pair(family, params()), fn)(n) for fn in "GH" for n in levels]
+    calls += [lambda: spectrum(family, params(), 20).energies, rep_bits,
+              lambda: verify_ratio_recursions(coefficients(family, params()), params(), 30)]
+    if p is None:
+        calls.append(lambda: degeneracy_equation(family, q, 10, 0))
+    return [_numpy_outcome(call) for call in calls]
+
+
+class TestOneRealRule:
+    """Every real q, p, c0 and d0 is taken as the float it holds: an int, bool, Fraction or
+    numpy real gives the same value bits, or the same exception and message, as its float."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family", ONE_PARAM)
+    @pytest.mark.parametrize("q", RULE_QS, ids=repr)
+    def test_q_is_its_float(self, family, q):
+        assert _rule_outcomes(family, q) == _rule_outcomes(family, float(q))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family", TWO_PARAM)
+    @pytest.mark.parametrize("q,p", [(q, 0.9) for q in RULE_QS] + [(1.1, p) for p in RULE_PS],
+                             ids=repr)
+    def test_q_and_p_are_their_floats(self, family, q, p):
+        assert _rule_outcomes(family, q, p) == _rule_outcomes(family, float(q), float(p))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family", ("A", "D", "Bt"))
+    @pytest.mark.parametrize("c0,d0", RULE_CONSTANTS, ids=repr)
+    def test_c0_and_d0_are_their_floats(self, family, c0, d0):
+        p = 0.9 if FamilyTag.parse(family).two_parameter else None
+        assert _rule_outcomes(family, 1.1, p, c0, d0) == \
+            _rule_outcomes(family, 1.1, p, float(c0), float(d0))
+
+    def test_an_int_q_fails_as_fast_as_its_float(self):
+        # exact int powers of 3 took 5.5 s to reach the same OverflowError (ROADMAP item 3b)
+        start = time.perf_counter()
+        outcome = _numpy_outcome(lambda: gh_pair("A", 3).H(3 * 10**6))
+        assert time.perf_counter() - start < 0.1
+        assert outcome == _numpy_outcome(lambda: gh_pair("A", 3.0).H(3 * 10**6))
+
+    @pytest.mark.parametrize("name", ("c0", "d0"))
+    def test_a_constant_beyond_the_double_range_is_refused_as_q_is(self, name):
+        # float() rounds this int down to sys.float_info.max, which was accepted as c0
+        beyond = int(sys.float_info.max) + 1
+        with pytest.raises(DomainError, match=rf"^FamilyId requires finite real {name}, "
+                                              r"got an int of 309 digits$"):
+            FamilyId(FamilyTag.A, **{name: beyond})
+        with pytest.raises(DomainError, match=r"^this operation requires finite q > 0, "
+                                              r"got an int of 309 digits$"):
+            DeformationParams(q=beyond).require_real_positive()
+
+    @pytest.mark.parametrize("q", (1.0000001, 1.1))
+    def test_phi_symmetrized_shows_a_numpy_level_as_its_int(self, q):
+        # near q = 1 the two evaluations disagree (ROADMAP item 6), and the message
+        # named the level as "n = np.int64(10)"
+        assert _numpy_outcome(lambda: phi_symmetrized("A", q, np.int64(10))) == \
+            _numpy_outcome(lambda: phi_symmetrized("A", q, 10))

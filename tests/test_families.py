@@ -18,8 +18,6 @@ from defosc import (
     gh_pair,
     phi_closed,
     phi_from_gh,
-    ratio_kernel_constancy,
-    shift_power,
     verify_ratio_recursions,
 )
 
@@ -124,8 +122,7 @@ class TestGHPair:
     def test_shift_identities(self, family, q):
         params = params_for(family, q)
         x = params.power_base
-        s = shift_power(family)
-        assert s == PRINTED_SHIFT[FamilyTag.parse(family).letter]
+        s = PRINTED_SHIFT[FamilyTag.parse(family).letter]
         pair = gh_pair(family, params)
         for n in range(2, 61):
             assert rel_err(pair.G(n), x**s * pair.H(n - 2)) <= 1e-12
@@ -632,19 +629,3 @@ class TestRatioWalkReference:
             verify_ratio_recursions(counted, 1.1, 300)
         assert calls == list(range(0, 7))
 
-
-class TestRatioKernelDiagnostic:
-    def test_constant_kernel(self):
-        assert ratio_kernel_constancy(lambda n: 1.0, lambda n: 1.0) == 0.0
-
-    def test_drifting_kernel(self):
-        cs = coefficients("A", 1.2)
-        assert ratio_kernel_constancy(cs.f, cs.k, 10) > 0.1
-
-    @pytest.mark.parametrize("n_max,message", [
-        (-1, "n_max must be >= 0, got -1"),
-        (2.5, "n_max must be an integer, got 2.5"),
-    ])
-    def test_bad_n_max_is_domain_error(self, n_max, message):
-        with pytest.raises(DomainError, match=rf"^{message}$"):
-            ratio_kernel_constancy(lambda n: 1.0, lambda n: 1.0, n_max)

@@ -191,7 +191,7 @@ class TestDegeneracyEquation:
 
     def test_energy_kernel_is_energy_bit_for_bit(self, monkeypatch):
         # seeded draws over the kernel's one-pass levels and every fallback to _phi_at:
-        # n = 0, q = 1, an int q, a power out of range, a level to rescale, a refusal
+        # n = 0, q = 1, an int q as its float, a power out of range, a level to rescale, a refusal
         rng = random.Random(23)
         phi_at, fallbacks = dsf._phi_at, []
         monkeypatch.setattr(dsf, "_phi_at", lambda *args: fallbacks.append(args) or phi_at(*args))
@@ -204,11 +204,11 @@ class TestDegeneracyEquation:
                 expected = energy(family, q, n)
             except DomainError as exc:
                 with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
-                    dsf._energy_at(family, q, n)
+                    dsf._energy_at(family, float(q), n)
                 outcomes["refused"] += 1
                 continue
             fallbacks.clear()
-            assert dsf._energy_at(family, q, n).hex() == expected.hex()
+            assert dsf._energy_at(family, float(q), n).hex() == expected.hex()
             outcomes["fallback" if fallbacks else "direct"] += 1
         assert min(outcomes.values()) > 200, outcomes
 
@@ -216,8 +216,8 @@ class TestDegeneracyEquation:
         ("A", 1.1, 4, 4, "degeneracy requires two distinct levels"),
         ("A", math.inf, 2.0, 2, "degeneracy requires two distinct levels"),
         ("A", math.inf, 3, 0, "phi_closed requires finite q > 0, got inf"),
-        ("A", 0, 3, 0, "phi_closed requires finite q > 0, got 0"),
-        ("A", -1, 3, 0, "phi_closed requires finite q > 0, got -1"),
+        ("A", 0, 3, 0, "phi_closed requires finite q > 0, got 0.0"),
+        ("A", -1, 3, 0, "phi_closed requires finite q > 0, got -1.0"),
         ("A", math.nan, 3, 0, "phi_closed requires finite q > 0, got nan"),
         ("A", 1 + 1j, 3, 0, r"phi_closed requires real q, got \(1\+1j\)"),
         ("At", 1.1, 3, 0, "phi_closed: family At is two-parameter but params lack p"),
